@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -171,7 +172,8 @@ def _curve_record(curve) -> dict | None:
             for k, v in (("a", p.a), ("b", p.b), ("c", p.c), ("n_total", p.n_total))
             if v is not None
         },
-        "variance": list(curve.param_variance),
+        # a singular fit has infinite variances; JSON has no infinity
+        "variance": [v if math.isfinite(v) else None for v in curve.param_variance],
         "nrmse": curve.nrmse,
         "points_used": curve.points_used,
     }
@@ -261,7 +263,7 @@ def _csv_cell(value) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, output: Path | None) -> None:
@@ -296,10 +298,11 @@ def _run_method(
     method: str,
     topic: corpus.RankedTopic,
     args: argparse.Namespace,
+    memo: stopping.FitMemo,
 ) -> stopping.StoppingOutcome:
     if method in ("ip", "cox"):
         config = _config_from_args(args, process=PROCESS_NAMES[method])
-        return stopping.run_stopping(topic, config)
+        return stopping.run_stopping(topic, config, memo)
     if method == "oracle":
         return baselines.oracle_stop(topic, args.target_recall)
     if method == "target":
@@ -351,15 +354,16 @@ def _compare_over_topics(
     args: argparse.Namespace,
 ) -> tuple[list[dict], list[dict], list[dict]]:
     """Per-topic metric rows, aggregate rows, and outcome rows, sorted."""
-    pairs = [(t, m) for t in topics for m in methods]
 
-    def run(pair):
-        topic, method = pair
-        outcome = _run_method(method, topic, args)
-        tm = metrics.topic_metrics(outcome, topic, args.target_recall)
-        return outcome, tm
+    def run(topic):
+        memo = {}  # ip and cox read the same fits
+        results = []
+        for method in methods:
+            outcome = _run_method(method, topic, args, memo)
+            results.append((outcome, metrics.topic_metrics(outcome, topic, args.target_recall)))
+        return results
 
-    results = _parallel_map(run, pairs, args.jobs)
+    results = [r for rs in _parallel_map(run, topics, args.jobs) for r in rs]
     results.sort(key=lambda r: (r[1].topic_id, r[1].method))
 
     topic_rows = [_metrics_record(tm) for _, tm in results]
@@ -425,6 +429,51 @@ def _cmd_stop(args: argparse.Namespace) -> int:
     return 0
 
 
+_OUTCOME_FIELDS = (
+    ("method", str), ("topic", str), ("stop_rank", int),
+    ("docs_examined", int), ("rel_found", int), ("hit_end", bool),
+)
+
+
+def _outcome_from_record(rec, where: str) -> stopping.StoppingOutcome:
+    if not isinstance(rec, dict):
+        raise ParseError(f"{where} is malformed: expected an object, got {rec!r}")
+    for key, kind in _OUTCOME_FIELDS:
+        if key not in rec:
+            raise ParseError(f"{where} is malformed: missing field {key!r}")
+        value = rec[key]
+        # bool subclasses int, so true/false would pass as a count
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ParseError(
+                f"{where} is malformed: {key!r} must be {kind.__name__}, got {value!r}"
+            )
+    return stopping.StoppingOutcome(
+        method=rec["method"],
+        topic_id=rec["topic"],
+        stop_rank=rec["stop_rank"],
+        docs_examined=rec["docs_examined"],
+        rel_found=rec["rel_found"],
+        hit_end=rec["hit_end"],
+    )
+
+
+def _check_outcome_counts(
+    outcome: stopping.StoppingOutcome, topic: corpus.RankedTopic, where: str
+) -> None:
+    if not 1 <= outcome.stop_rank <= outcome.docs_examined <= topic.n:
+        raise ParseError(
+            f"{where} is impossible: needs 1 <= stop_rank ({outcome.stop_rank}) "
+            f"<= docs_examined ({outcome.docs_examined}) <= {topic.n} documents "
+            f"in topic {topic.topic_id!r}"
+        )
+    found = topic.relevant_in_prefix(outcome.stop_rank)
+    if not 0 <= outcome.rel_found <= found:
+        raise ParseError(
+            f"{where} is impossible: rel_found ({outcome.rel_found}) must lie in "
+            f"[0, {found}], the relevant documents in ranks 1..{outcome.stop_rank}"
+        )
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     topics = {t.topic_id: t for t in _load_topics(args.run, args.qrels)}
     try:
@@ -442,24 +491,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     per_topic = []
     for idx, rec in enumerate(records):
-        try:
-            outcome = stopping.StoppingOutcome(
-                method=rec["method"],
-                topic_id=rec["topic"],
-                stop_rank=rec["stop_rank"],
-                docs_examined=rec["docs_examined"],
-                rel_found=rec["rel_found"],
-                hit_end=rec["hit_end"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(
-                f"{args.outcomes}: outcome record {idx} is malformed: {exc}"
-            ) from exc
+        where = f"{args.outcomes}: outcome record {idx}"
+        outcome = _outcome_from_record(rec, where)
         topic = topics.get(outcome.topic_id)
         if topic is None:
             raise TopicNotFoundError(
                 f"outcome topic {outcome.topic_id!r} missing from run/qrels"
             )
+        _check_outcome_counts(outcome, topic, where)
         per_topic.append(metrics.topic_metrics(outcome, topic, args.target_recall))
     if not per_topic:
         raise ParseError(f"{args.outcomes}: no outcome records to evaluate")
@@ -547,11 +586,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     topics = _load_topics(args.run, args.qrels)
-    jobs = [(combo, topic) for combo in combos for topic in topics]
-
-    def run(job):
-        (proc, rate, thr, mr, level, conf), topic = job
-        config = _config_from_args(
+    configs = [
+        _config_from_args(
             args,
             process=PROCESS_NAMES[proc],
             rate_kind=RATE_NAMES[rate],
@@ -560,18 +596,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             target_recall=level,
             confidence=conf,
         )
-        outcome = stopping.run_stopping(topic, config)
-        return metrics.topic_metrics(outcome, topic, level)
+        for proc, rate, thr, mr, level, conf in combos
+    ]
 
-    results = _parallel_map(run, jobs, args.jobs)
+    def run(topic):
+        memo = {}  # every combination with the same rate reads the same fits
+        return [
+            metrics.topic_metrics(
+                stopping.run_stopping(topic, config, memo), topic, config.target_recall
+            )
+            for config in configs
+        ]
+
+    per_topic = _parallel_map(run, topics, args.jobs)
 
     combo_keys = ["process", "rate", "nrmse_threshold", "min_rel", "target_recall", "confidence"]
     topic_rows = []
     agg_rows = []
-    for combo in combos:
+    for c, combo in enumerate(combos):
         combo_dict = dict(zip(combo_keys, combo))
-        group = [tm for job, tm in zip(jobs, results) if job[0] == combo]
-        group.sort(key=lambda tm: tm.topic_id)
+        group = sorted((tms[c] for tms in per_topic), key=lambda tm: tm.topic_id)
         for tm in group:
             row = dict(combo_dict)
             row.update(_metrics_record(tm))

@@ -63,15 +63,30 @@ def _pmf_row(mean: float, counts: np.ndarray) -> np.ndarray:
     return np.exp(-mean + counts * math.log(mean) - gammaln(counts + 1))
 
 
+# Longest count array a quantile search may allocate (32 MiB of float64).
+# A wild fit can imply a mass of 1e13 or more; it fails cleanly instead.
+_MAX_COUNTS = 2**22
+
+
 def _summation_cap(mean: float) -> int:
-    return int(mean + 20.0 * math.sqrt(mean) + 100.0)
+    return _bounded_cap(int(mean + 20.0 * math.sqrt(mean) + 100.0))
+
+
+def _bounded_cap(cap: int) -> int:
+    if cap + 1 > _MAX_COUNTS:
+        raise DegenerateDistributionError(
+            f"count bound would need {cap + 1} terms, over the {_MAX_COUNTS} limit"
+        )
+    return cap
 
 
 def poisson_quantile(mean: float, p: float) -> int:
     """Smallest m whose cumulative Poisson probability reaches p.
 
     Direct summation of the mass function; exactness matters at the
-    small means typical near a stopping decision.
+    small means typical near a stopping decision. Raises
+    DegenerateDistributionError when the sum would need more than
+    2**22 terms.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {p}")
@@ -85,7 +100,7 @@ def poisson_quantile(mean: float, p: float) -> int:
         cdf = np.cumsum(_pmf_row(mean, counts))
         if cdf[-1] >= p:
             return int(np.searchsorted(cdf, p, side="left"))
-        cap *= 2
+        cap = _bounded_cap(cap * 2)
 
 
 def _check_interval(i: int, j: int) -> None:
@@ -199,5 +214,5 @@ def estimate_remaining_cox(
         if cdf[-1] >= p:
             upper = int(np.searchsorted(cdf, p, side="left"))
             break
-        cap *= 2
+        cap = _bounded_cap(cap * 2)
     return RemainingEstimate((i, j), mean_mass, upper, p)

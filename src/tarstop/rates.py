@@ -227,18 +227,15 @@ def window_estimates(labels, window_size: int) -> WindowedEstimates:
             f"need at least one full window ({window_size}), got {arr.size} labels"
         )
     full = arr.size // window_size
-    rem = arr.size - full * window_size
-    xs = []
-    ys = []
-    for w in range(full):
-        start = w * window_size  # 0-based; ranks start+1 .. start+window_size
-        xs.append(start + (window_size + 1) / 2.0)
-        ys.append(arr[start : start + window_size].mean())
+    end = full * window_size
+    rem = arr.size - end
+    # window w covers 1-based ranks w*window_size+1 .. (w+1)*window_size
+    xs = np.arange(full) * window_size + (window_size + 1) / 2.0
+    ys = arr[:end].reshape(full, window_size).mean(axis=1)
     if rem and rem >= window_size / 2.0:
-        start = full * window_size
-        xs.append(start + (rem + 1) / 2.0)
-        ys.append(arr[start:].mean())
-    return WindowedEstimates(np.asarray(xs), np.asarray(ys), window_size)
+        xs = np.append(xs, end + (rem + 1) / 2.0)
+        ys = np.append(ys, arr[end:].mean())
+    return WindowedEstimates(xs, ys, window_size)
 
 
 def nrmse(curve: RateCurve, points: WindowedEstimates) -> float:

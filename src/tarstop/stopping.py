@@ -173,17 +173,34 @@ def stop_decision(
     return rel_found >= math.ceil(required)
 
 
+# Fits of one topic keyed by (rate kind, window size, checkpoint): the fitted
+# curve, or the error that windowing or fitting raised.
+FitMemo = dict[tuple[RateKind, int, int], "RateCurve | TarStopError"]
+
+
+def _fit_at(topic: RankedTopic, config: StoppingConfig, k: int, memo: FitMemo):
+    # The curve at k depends only on labels[:k], the rate family, the window
+    # and n, so every process and policy screening this topic can share it.
+    key = (config.rate_kind, config.window_size, k)
+    if key not in memo:
+        try:
+            points = window_estimates(topic.labels[:k], config.window_size)
+            memo[key] = fit_rate(points, config.rate_kind, topic.n)
+        except TarStopError as exc:
+            # drop the traceback: its frames hold the windowed prefix arrays
+            memo[key] = exc.with_traceback(None)
+    return memo[key]
+
+
 def _evaluate_checkpoint(
-    topic: RankedTopic, config: StoppingConfig, k: int
+    topic: RankedTopic, config: StoppingConfig, k: int, memo: FitMemo
 ) -> IterationTrace:
     rel = topic.relevant_in_prefix(k)
     if not config.min_rel_rule.passes(rel, k, topic.n):
         return IterationTrace(k, rel, Gate.TOO_FEW_RELEVANT)
 
-    try:
-        points = window_estimates(topic.labels[:k], config.window_size)
-        curve = fit_rate(points, config.rate_kind, topic.n)
-    except TarStopError:
+    curve = _fit_at(topic, config, k, memo)
+    if isinstance(curve, TarStopError):
         return IterationTrace(k, rel, Gate.FIT_FAILED)
 
     if curve.nrmse > config.nrmse_threshold:
@@ -209,12 +226,20 @@ def _evaluate_checkpoint(
     )
 
 
-def run_stopping(topic: RankedTopic, config: StoppingConfig) -> StoppingOutcome:
-    """Run the screening loop over one topic and report where it stopped."""
+def run_stopping(
+    topic: RankedTopic, config: StoppingConfig, memo: FitMemo | None = None
+) -> StoppingOutcome:
+    """Run the screening loop over one topic and report where it stopped.
+
+    Pass the same ``memo`` (initially ``{}``) to every run over this topic
+    to fit each checkpoint's curve once; it must never hold another
+    topic's fits.
+    """
+    memo = {} if memo is None else memo
     method = config.process.value
     traces: list[IterationTrace] = []
     for k in checkpoints(topic.n, config):
-        trace = _evaluate_checkpoint(topic, config, k)
+        trace = _evaluate_checkpoint(topic, config, k, memo)
         traces.append(trace)
         if trace.stop_decision:
             return StoppingOutcome(

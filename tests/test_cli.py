@@ -46,6 +46,30 @@ def spec_file(tmp_path):
     return path
 
 
+def write_topics(tmp_path, labels_by_topic):
+    run_lines, qrels_lines = [], []
+    for t, labels in labels_by_topic.items():
+        n = len(labels)
+        for r in range(1, n + 1):
+            run_lines.append(f"{t} Q0 {t}d{r} {r} {n - r} x")
+            qrels_lines.append(f"{t} 0 {t}d{r} {int(labels[r - 1])}")
+    run = tmp_path / "run.txt"
+    qrels = tmp_path / "qrels.txt"
+    run.write_text("\n".join(run_lines) + "\n")
+    qrels.write_text("\n".join(qrels_lines) + "\n")
+    return run, qrels
+
+
+def singular_fit_files(tmp_path):
+    # first checkpoint = 75 ranks = exactly three windows; the
+    # three-parameter hyperbolic fit leaves no residual dof
+    block = (
+        [1, 1, 1, 0, 0] * 5 + [1, 0, 0, 0, 0] * 5
+        + [1, 0, 0, 0, 1, 0, 0, 0, 0, 0] * 2 + [0] * 5
+    )
+    return write_topics(tmp_path, {"T": block + [0] * (3000 - len(block))})
+
+
 def flags(run, qrels):
     # small collection: larger batches and windows keep the loop fast
     return ["--run", str(run), "--qrels", str(qrels),
@@ -119,20 +143,9 @@ class TestStopCommand:
         assert not out.exists()
 
     def test_cox_fallback_flag_surfaces_in_trace(self, tmp_path):
-        # first checkpoint = 75 ranks = exactly three windows; the
-        # three-parameter fit leaves no residual dof, so the mixture
-        # falls back to the fixed-mean estimate and flags it
-        block = (
-            [1, 1, 1, 0, 0] * 5 + [1, 0, 0, 0, 0] * 5
-            + [1, 0, 0, 0, 1, 0, 0, 0, 0, 0] * 2 + [0] * 5
-        )
-        labels = block + [0] * (3000 - len(block))
-        run_lines = [f"T Q0 d{r} {r} {3000 - r} x" for r in range(1, 3001)]
-        qrels_lines = [f"T 0 d{r} {labels[r - 1]}" for r in range(1, 3001)]
-        run = tmp_path / "run.txt"
-        qrels = tmp_path / "qrels.txt"
-        run.write_text("\n".join(run_lines) + "\n")
-        qrels.write_text("\n".join(qrels_lines) + "\n")
+        # the singular first fit makes the mixture fall back to the
+        # fixed-mean estimate and flag it
+        run, qrels = singular_fit_files(tmp_path)
         out = tmp_path / "out.json"
         assert main(["stop", "--run", str(run), "--qrels", str(qrels),
                      "--process", "cox", "--rate", "hyp",
@@ -143,6 +156,25 @@ class TestStopCommand:
             t for t in payload["outcomes"][0]["traces"] if t["gate"] == "evaluated"
         ]
         assert evaluated and evaluated[0]["estimate"]["fallback"] is True
+
+    def test_trace_json_is_strict(self, tmp_path):
+        # the fallback topic's first fit is singular: its variances are
+        # infinite and must be written as null, never as bare Infinity
+        run, qrels = singular_fit_files(tmp_path)
+        out = tmp_path / "out.json"
+        assert main(["stop", "--run", str(run), "--qrels", str(qrels),
+                     "--process", "cox", "--rate", "hyp",
+                     "--min-rel", "static10", "--nrmse-threshold", "0.5",
+                     "--trace", "--output", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        first = next(
+            t for t in payload["outcomes"][0]["traces"] if t["gate"] == "evaluated"
+        )
+        assert first["curve"]["variance"] == [None, None, None]
 
 
 class TestEvaluateCommand:
@@ -159,6 +191,51 @@ class TestEvaluateCommand:
         assert len(lines) == 4
         agg = (tmp_path / "m.agg.csv").read_text().splitlines()
         assert agg[0].startswith("method,topics,reliability")
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("docs_examined", "1"),
+        ("stop_rank", "1"),
+        ("rel_found", True),  # bool is not a count
+        ("hit_end", 1),
+    ])
+    def test_wrong_field_type_exit_3(self, tmp_path, capsys, field, value):
+        record = {"topic": "X", "method": "ip", "stop_rank": 1,
+                  "docs_examined": 1, "rel_found": 1, "hit_end": False}
+        record[field] = value
+        assert self.evaluate(tmp_path, record) == 3
+        assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stop_rank, docs_examined, rel_found", [
+        (2, 99, 1),  # examined more documents than the topic has
+        (2, 2, 7),  # found more relevant than the topic has
+        (1, 1, 2),  # found more relevant than ranks 1..stop_rank hold
+        (2, 1, 1),  # examined fewer documents than the stop rank
+        (0, 0, 0),  # stopped before screening anything
+        (1, 1, -1),
+    ])
+    def test_impossible_counts_exit_3(
+        self, tmp_path, capsys, stop_rank, docs_examined, rel_found
+    ):
+        record = {"topic": "X", "method": "ip", "stop_rank": stop_rank,
+                  "docs_examined": docs_examined, "rel_found": rel_found,
+                  "hit_end": False}
+        assert self.evaluate(tmp_path, record) == 3
+        assert "impossible" in capsys.readouterr().err
+
+    def test_possible_counts_accepted(self, tmp_path):
+        record = {"topic": "X", "method": "target", "stop_rank": 1,
+                  "docs_examined": 2, "rel_found": 1, "hit_end": False}
+        assert self.evaluate(tmp_path, record) == 0
+
+    @staticmethod
+    def evaluate(tmp_path, record) -> int:
+        # a 2-document topic whose documents are both relevant
+        run, qrels = write_topics(tmp_path, {"X": [1, 1]})
+        outcomes = tmp_path / "o.json"
+        outcomes.write_text(json.dumps({"outcomes": [record]}))
+        return main(["evaluate", "--outcomes", str(outcomes), "--run", str(run),
+                     "--qrels", str(qrels), "--output", str(tmp_path / "m.json")])
 
 
 class TestCompareCommand:
@@ -253,6 +330,15 @@ class TestSweepCommand:
         payload = json.loads(out.read_text())
         assert len(payload["aggregates"]) == 8
 
+    def test_repeated_value_counts_each_topic_once(self, fixture_files, tmp_path, capsys):
+        run, qrels = fixture_files
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", *flags(run, qrels), "--rates", "exp,exp",
+                     "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert [r["topics"] for r in payload["aggregates"]] == [3, 3]
+        assert len(payload["topics"]) == 2 * 3
+
     def test_oversize_grid_refused(self, fixture_files, capsys):
         run, qrels = fixture_files
         levels = ",".join(str(0.5 + i / 10000) for i in 20 * list(range(50)))
@@ -286,6 +372,21 @@ class TestSimulateCommand:
                          (tmp_path / f"sim{idx}.agg.csv").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_wild_fit_exits_cleanly(self, tmp_path, capsys):
+        # a hyperbolic fit here implies a Cox mass near 1e13, far past the
+        # count-array cap, so that checkpoint must count as a failed fit
+        path = tmp_path / "wild.json"
+        path.write_text(json.dumps([
+            {"n": 11769, "kind": "power",
+             "params": {"a": 0.9741642266458875, "b": -0.7353185149574679},
+             "seed": 2}
+        ]))
+        out = tmp_path / "wild.json.out"
+        assert main(["simulate", "--spec", str(path), "--methods", "cox",
+                     "--rate", "hyp", "--output", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert {r["method"] for r in json.loads(out.read_text())["topics"]} == {"cox"}
+
     def test_invalid_spec_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"n": 100, "kind": "uniform", "seed": 1}]))
@@ -300,3 +401,53 @@ class TestSimulateCommand:
         ]))
         assert main(["simulate", "--spec", str(path)]) == 2
         assert "b" in capsys.readouterr().err
+
+
+class TestFitSharing:
+    """Every (topic, rate, checkpoint) is fitted once, however many
+    policies or processes read the fit."""
+
+    @staticmethod
+    def count_fits(monkeypatch, argv) -> list:
+        from tarstop import stopping
+
+        calls = []
+        real = stopping.fit_rate
+
+        def counting(points, kind, n_total):
+            # topics differ in size, so n_total names the topic; window
+            # centers name the checkpoint
+            calls.append((n_total, kind, points.x.tobytes()))
+            return real(points, kind, n_total)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stopping, "fit_rate", counting)
+            assert main(argv) == 0
+        return calls
+
+    @pytest.fixture
+    def sized_topics(self, tmp_path):
+        rng = np.random.default_rng(9)
+        return write_topics(tmp_path, {
+            t: rng.random(n) < 0.5 * np.exp(-0.01 * np.arange(n))
+            for t, n in (("T1", 300), ("T2", 400), ("T3", 500))
+        })
+
+    def test_sweep_fits_each_checkpoint_once(self, sized_topics, monkeypatch, capsys):
+        run, qrels = sized_topics
+        calls = self.count_fits(monkeypatch, [
+            "sweep", *flags(run, qrels), "--processes", "ip,cox",
+            "--rates", "exp,pow", "--nrmse-thresholds", "0.1,0.5",
+            "--min-rel-rules", "static10,dynamic", "--target-recalls", "0.8,0.9",
+        ])
+        assert calls and len(calls) == len(set(calls))
+        assert {n for n, _, _ in calls} == {300, 400, 500}
+
+    def test_compare_processes_share_fits(self, sized_topics, monkeypatch, capsys):
+        run, qrels = sized_topics
+        both = self.count_fits(monkeypatch, ["compare", *flags(run, qrels),
+                                             "--methods", "ip,cox"])
+        ip_only = self.count_fits(monkeypatch, ["compare", *flags(run, qrels),
+                                                "--methods", "ip"])
+        assert both and len(both) == len(set(both))
+        assert set(both) >= set(ip_only)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,3 +234,30 @@ def _mixture_components(curve, i, j):
         weights.append(math.prod(ws))
     weights = np.asarray(weights)
     return np.asarray(masses), weights / weights.sum()
+
+
+class TestMemoryBound:
+    """A wild fit's mass must fail cleanly, not size a huge count array."""
+
+    @staticmethod
+    def peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateDistributionError):
+                fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_huge_mean_raises_at_once(self):
+        assert self.peak_bytes(lambda: poisson_quantile(1e13, 0.95)) < 1 << 20
+
+    def test_huge_mixture_mass_raises_at_once(self):
+        curve = make_curve(RateKind.EXPONENTIAL, (1e12, 1e-14), a=1e13, b=-1e-6)
+        peak = self.peak_bytes(lambda: estimate_remaining_cox(curve, 2, 1000, 0.95))
+        assert peak < 1 << 20
+
+    def test_mean_below_the_cap_still_served(self):
+        mean = 3.5e6
+        q = poisson_quantile(mean, 0.95)
+        assert stats.poisson.cdf(q, mean) >= 0.95 > stats.poisson.cdf(q - 1, mean)

@@ -178,6 +178,30 @@ class TestWindowEstimates:
         assert w.x.tolist() == [5.5, 15.5, 25.5, 35.5, 45.5, 55.5]
         assert np.all(w.y == 0.5)
 
+    @pytest.mark.parametrize("window", [1, 2, 7, 10, 25])
+    def test_matches_reference_loop(self, window, rng):
+        def reference(labels, w):
+            xs, ys = [], []
+            full = len(labels) // w
+            for start in range(0, full * w, w):
+                xs.append(start + (w + 1) / 2.0)
+                ys.append(np.mean(labels[start : start + w]))
+            rem = len(labels) - full * w
+            if rem and rem >= w / 2.0:
+                xs.append(full * w + (rem + 1) / 2.0)
+                ys.append(np.mean(labels[full * w :]))
+            return np.asarray(xs), np.asarray(ys)
+
+        labels = (rng.random(60 * window) < 0.3).astype(float)
+        base = 40 * window
+        # no tail, the longest tail, a tail of half a window, and a tail
+        # just under half a window (dropped)
+        tails = {0, window - 1, math.ceil(window / 2), math.ceil(window / 2) - 1}
+        for size in sorted(base + t for t in tails):
+            got = window_estimates(labels[:size], window)
+            xs, ys = reference(labels[:size], window)
+            assert np.array_equal(got.x, xs) and np.array_equal(got.y, ys), size
+
 
 class TestFitRate:
     def _points(self, params, xs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tarstop.corpus import SyntheticSpec, generate_synthetic
-from tarstop.errors import ConfigError
+from tarstop.errors import ConfigError, TarStopError
 from tarstop.estimates import ProcessKind
 from tarstop.rates import RateKind
 from tarstop.stopping import (
@@ -316,3 +316,29 @@ class TestRankingEffectivenessTrend:
         rho = sstats.spearmanr(effectiveness, reliabilities).statistic
         assert rho >= 0.0  # reliability falls (or holds) as rankings worsen
         assert reliabilities[0] > reliabilities[-1]
+
+
+class TestFitMemo:
+    def test_shared_memo_matches_memo_free_runs(self):
+        # a declining topic, and one where every document is relevant, so
+        # every fit there fails on its zero observed range
+        topics = [exp_topic(seed=31, n=800, a=0.4, b=-0.008),
+                  topic_from_labels([1] * 200)]
+        configs = [
+            StoppingConfig(
+                process=process, rate_kind=rate, min_rel_rule=rule,
+                batch_schedule=schedule, alpha=0.1, beta=0.1, window_size=window,
+                nrmse_threshold=0.3,
+            )
+            for process in ProcessKind
+            for rate in RateKind
+            for rule in (StaticMinRel(10), DynamicMinRel())
+            for schedule in BatchSchedule
+            for window in (10, 20)
+        ]
+        for topic in topics:
+            memo = {}
+            for cfg in configs:
+                assert run_stopping(topic, cfg, memo) == run_stopping(topic, cfg)
+            assert {key[0] for key in memo} == set(RateKind)
+        assert all(isinstance(fit, TarStopError) for fit in memo.values())
