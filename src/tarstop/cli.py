@@ -122,15 +122,21 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> stopping.Stoppin
     return stopping.StoppingConfig(**kwargs)
 
 
+def _read_input(path: Path, what: str) -> str:
+    """Text of a UTF-8 input file, without a leading byte-order mark."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _load_topics(run_path: Path, qrels_path: Path) -> list[corpus.RankedTopic]:
-    try:
-        run_text = run_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read run file {run_path}: {exc}") from exc
-    try:
-        qrels_text = qrels_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read qrels file {qrels_path}: {exc}") from exc
+    run_text = _read_input(run_path, "run")
+    qrels_text = _read_input(qrels_path, "qrels")
     try:
         run = corpus.parse_run(run_text)
     except ParseError as exc:
@@ -477,10 +483,8 @@ def _check_outcome_counts(
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     topics = {t.topic_id: t for t in _load_topics(args.run, args.qrels)}
     try:
-        payload = json.loads(args.outcomes.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read outcomes file {args.outcomes}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        payload = json.loads(_read_input(args.outcomes, "outcomes"))
+    except (ValueError, RecursionError) as exc:  # syntax, digit limit, nesting
         raise ParseError(f"{args.outcomes}: invalid JSON: {exc}") from exc
     records = payload.get("outcomes") if isinstance(payload, dict) else payload
     if not isinstance(records, list):
@@ -633,10 +637,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _load_specs(path: Path) -> list[corpus.SyntheticSpec]:
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        payload = json.loads(_read_input(path, "spec"))
+    except (ValueError, RecursionError) as exc:  # syntax, digit limit, nesting
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     entries = payload.get("topics") if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not entries:
@@ -646,28 +648,62 @@ def _load_specs(path: Path) -> list[corpus.SyntheticSpec]:
         )
     specs = []
     for idx, entry in enumerate(entries):
+        where = f"{path}: spec {idx}"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where} must be an object, got {entry!r}")
         for key in ("n", "kind", "params", "seed"):
             if key not in entry:
-                raise ValidationError(f"{path}: spec {idx} is missing field {key!r}")
+                raise ValidationError(f"{where} is missing field {key!r}")
         if not isinstance(entry["params"], dict):
-            raise ValidationError(f"{path}: spec {idx} field 'params' must be an object")
+            raise ValidationError(f"{where} field 'params' must be an object")
+        # bool subclasses int, so true/false would pass as a number
+        for key in ("n", "seed"):
+            value = entry[key]
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(
+                    f"{where} field {key!r} must be an integer, got {value!r}"
+                )
+        topic_id = entry.get("topic_id", f"S{idx + 1:03d}")
+        if not isinstance(topic_id, str):
+            raise ValidationError(
+                f"{where} field 'topic_id' must be a string, got {topic_id!r}"
+            )
         specs.append(
             corpus.SyntheticSpec(
                 n=entry["n"],
                 kind=entry["kind"],
-                params={k: float(v) for k, v in entry["params"].items()},
+                params={
+                    k: _spec_number(v, where, f"params.{k}")
+                    for k, v in entry["params"].items()
+                },
                 seed=entry["seed"],
-                noise=entry.get("noise", 0.0),
-                topic_id=entry.get("topic_id", f"S{idx + 1:03d}"),
+                noise=_spec_number(entry.get("noise", 0.0), where, "noise"),
+                topic_id=topic_id,
             )
         )
     return specs
+
+
+def _spec_number(value, where: str, key: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{where} field {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where} field {key!r} is out of range") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     methods = _parse_methods(args.methods)
     specs = _load_specs(args.spec)
     topics = [corpus.generate_synthetic(spec) for spec in specs]
+    seen = set()
+    for topic in topics:  # rows and effectiveness are keyed by topic id
+        if topic.topic_id in seen:
+            raise ValidationError(
+                f"{args.spec}: topic id {topic.topic_id!r} names more than one spec"
+            )
+        seen.add(topic.topic_id)
     effectiveness = {t.topic_id: metrics.ranking_effectiveness(t) for t in topics}
     topic_rows, agg_rows, _ = _compare_over_topics(topics, methods, args)
     for row in topic_rows:

@@ -1,19 +1,22 @@
 """Ranking and relevance-judgment I/O plus synthetic topic generation.
 
 File formats (TREC conventions, whitespace separated, UTF-8, one record
-per line, ``#``-prefixed comment lines skipped in qrels):
+per line, blank and ``#``-prefixed comment lines skipped):
 
   qrels: ``topic iteration docid relevance``   (iteration ignored;
          graded relevance collapses to binary: value > 0 means relevant)
   run:   ``topic Q0 docid rank score tag``     (Q0 and tag ignored)
 
-Documents present in a run but absent from the qrels are treated as
-non-relevant, the standard pooling assumption.
+A parsed run holds each topic as two parallel columns in rank order,
+doc ids and scores, so ranks are implicit and dense. Documents present
+in a run but absent from the qrels are treated as non-relevant, the
+standard pooling assumption.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,18 +44,19 @@ class Qrels:
         return sorted({t for t, _ in self.entries})
 
 
-@dataclass(frozen=True)
-class RunEntry:
-    doc_id: str
-    rank: int
-    score: float
+class RunColumns(NamedTuple):
+    """One topic's ranking in rank order: ``doc_ids[r-1]`` and
+    ``scores[r-1]`` are the document and score at dense rank r."""
+
+    doc_ids: list[str]
+    scores: list[float]
 
 
 @dataclass(frozen=True)
 class RunRanking:
     """Per-topic document rankings with dense ranks 1..m."""
 
-    topics: dict[str, list[RunEntry]]
+    topics: dict[str, RunColumns]
 
     def topic_ids(self) -> list[str]:
         return sorted(self.topics)
@@ -111,6 +115,8 @@ class SyntheticSpec:
             raise ValidationError(
                 f"unknown synthetic kind {self.kind!r}; expected one of {SYNTHETIC_KINDS}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"synthetic seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise < 0.5:
             raise ValidationError(f"noise must be in [0, 0.5), got {self.noise}")
         a = self.params.get("a")
@@ -127,10 +133,6 @@ class SyntheticSpec:
                 raise ValidationError(f"{self.kind} synthetic params require b")
 
 
-def _fields(line: str) -> list[str]:
-    return line.split()
-
-
 def parse_qrels(text: str) -> Qrels:
     """Parse qrels text into binary judgments.
 
@@ -139,10 +141,9 @@ def parse_qrels(text: str) -> Qrels:
     """
     entries: dict[tuple[str, str], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = _fields(line)
         if len(parts) != 4:
             raise ParseError(
                 f"expected 4 fields 'topic iter docid rel', got {len(parts)}", lineno
@@ -160,14 +161,18 @@ def parse_qrels(text: str) -> Qrels:
 
 
 def parse_run(text: str) -> RunRanking:
-    """Parse a TREC run file; ranks are renumbered densely per topic."""
-    by_topic: dict[str, list[tuple[int, int, RunEntry]]] = {}
-    seen: set[tuple[str, str]] = set()
+    """Parse a TREC run file; ranks are renumbered densely per topic.
+
+    Lines of a topic are ordered by their rank field; lines with equal
+    ranks keep their file order.
+    """
+    # topic -> (doc ids, ranks, scores, doc ids seen), in file order
+    by_topic: dict[str, tuple[list[str], list[int], list[float], set[str]]] = {}
+    current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = _fields(line)
         if len(parts) != 6:
             raise ParseError(
                 f"expected 6 fields 'topic Q0 docid rank score tag', got {len(parts)}",
@@ -182,21 +187,26 @@ def parse_run(text: str) -> RunRanking:
             score = float(score_str)
         except ValueError:
             raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
-        key = (topic, doc_id)
-        if key in seen:
+        if topic != current:  # runs list a topic's lines together
+            current = topic
+            doc_ids, ranks, scores, seen = by_topic.setdefault(
+                topic, ([], [], [], set())
+            )
+        if doc_id in seen:
             raise DuplicateEntryError(
                 f"doc {doc_id!r} listed twice for topic {topic!r}", lineno
             )
-        seen.add(key)
-        by_topic.setdefault(topic, []).append((rank, lineno, RunEntry(doc_id, rank, score)))
+        seen.add(doc_id)
+        doc_ids.append(doc_id)
+        ranks.append(rank)
+        scores.append(score)
 
-    topics: dict[str, list[RunEntry]] = {}
-    for topic, rows in by_topic.items():
-        rows.sort(key=lambda r: (r[0], r[1]))  # stable on duplicate ranks
-        topics[topic] = [
-            RunEntry(e.doc_id, new_rank, e.score)
-            for new_rank, (_, _, e) in enumerate(rows, start=1)
-        ]
+    topics: dict[str, RunColumns] = {}
+    for topic, (doc_ids, ranks, scores, _seen) in by_topic.items():
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable on ties
+        topics[topic] = RunColumns(
+            [doc_ids[i] for i in order], [scores[i] for i in order]
+        )
     return RunRanking(topics)
 
 
@@ -204,8 +214,9 @@ def format_run(run: RunRanking, tag: str = "tarstop") -> str:
     """Serialize a RunRanking back to TREC run text (round-trips rank order)."""
     lines = []
     for topic in run.topic_ids():
-        for e in run.topics[topic]:
-            lines.append(f"{topic} Q0 {e.doc_id} {e.rank} {e.score} {tag}")
+        doc_ids, scores = run.topics[topic]
+        for rank, (doc_id, score) in enumerate(zip(doc_ids, scores), start=1):
+            lines.append(f"{topic} Q0 {doc_id} {rank} {score} {tag}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -213,10 +224,14 @@ def join(run: RunRanking, qrels: Qrels, topic_id: str) -> RankedTopic:
     """Label one topic's ranking using the qrels."""
     if topic_id not in run.topics:
         raise TopicNotFoundError(f"topic {topic_id!r} not present in run")
-    labels = [
-        qrels.relevance(topic_id, e.doc_id) > 0 for e in run.topics[topic_id]
-    ]
-    return RankedTopic(topic_id, np.asarray(labels, dtype=bool))
+    doc_ids = run.topics[topic_id].doc_ids
+    entries = qrels.entries
+    labels = np.fromiter(
+        (entries.get((topic_id, d), 0) > 0 for d in doc_ids),
+        dtype=bool,
+        count=len(doc_ids),
+    )
+    return RankedTopic(topic_id, labels)
 
 
 def join_all(run: RunRanking, qrels: Qrels) -> list[RankedTopic]:

@@ -238,6 +238,74 @@ class TestEvaluateCommand:
                      "--qrels", str(qrels), "--output", str(tmp_path / "m.json")])
 
 
+class TestStopEvaluateRoundTrip:
+    def test_evaluate_of_stop_output_matches_compare(self, tmp_path):
+        rng = np.random.default_rng(17)
+        run, qrels = write_topics(tmp_path, {
+            t: rng.random(n) < 0.4 * np.exp(-0.01 * np.arange(n))
+            for t, n in (("A", 300), ("B", 450))
+        })
+        outcomes, evaluated, compared = (tmp_path / f for f in ("o.json", "e.json", "c.json"))
+        assert main(["stop", *flags(run, qrels), "--format", "json",
+                     "--output", str(outcomes)]) == 0
+        assert main(["evaluate", "--outcomes", str(outcomes), "--run", str(run),
+                     "--qrels", str(qrels), "--output", str(evaluated)]) == 0
+        assert main(["compare", *flags(run, qrels), "--methods", "ip",
+                     "--output", str(compared)]) == 0
+        evaluated_rows = json.loads(evaluated.read_text())["topics"]
+        ip_rows = [r for r in json.loads(compared.read_text())["topics"]
+                   if r["method"] == "ip"]
+        assert [r["topic"] for r in evaluated_rows] == ["A", "B"]
+        assert evaluated_rows == ip_rows
+
+
+class TestInputEncoding:
+    """Every input file is UTF-8: a leading byte-order mark is dropped and
+    undecodable bytes exit 3."""
+
+    @staticmethod
+    def argv(kind, tmp_path, fixture_files, spec_file, out):
+        run, qrels = fixture_files
+        if kind == "spec":
+            return ["simulate", "--spec", str(spec_file), "--rate", "exp",
+                    "--alpha", "0.1", "--beta", "0.1", "--window", "10",
+                    "--output", str(out)], spec_file
+        if kind == "outcomes":
+            outcomes = tmp_path / "o.json"
+            assert main(["stop", *flags(run, qrels), "--output", str(outcomes)]) == 0
+            return ["evaluate", "--outcomes", str(outcomes), "--run", str(run),
+                    "--qrels", str(qrels), "--output", str(out)], outcomes
+        if kind == "qrels":
+            # a relevant document first, so a mangled first line shows
+            lines = qrels.read_text().splitlines()
+            lines.sort(key=lambda line: not line.endswith(" 1"))
+            qrels.write_text("\n".join(lines) + "\n")
+        return ["stop", *flags(run, qrels), "--output", str(out)], {
+            "run": run, "qrels": qrels}[kind]
+
+    @pytest.mark.parametrize("kind", ["run", "qrels", "spec", "outcomes"])
+    def test_byte_order_mark_is_dropped(self, kind, tmp_path, fixture_files, spec_file):
+        plain, with_bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        argv, path = self.argv(kind, tmp_path, fixture_files, spec_file, plain)
+        assert main(argv) == 0
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        argv[argv.index(str(plain))] = str(with_bom)
+        assert main(argv) == 0
+        assert with_bom.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["run", "qrels", "spec", "outcomes"])
+    def test_undecodable_input_exit_3(
+        self, kind, tmp_path, fixture_files, spec_file, capsys
+    ):
+        argv, path = self.argv(kind, tmp_path, fixture_files, spec_file,
+                               tmp_path / "out.json")
+        data = path.read_bytes()
+        path.write_bytes(data[:20] + b"\xff" + data[20:])
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "not UTF-8" in err
+
+
 class TestCompareCommand:
     def test_oracle_always_included(self, fixture_files, tmp_path, capsys):
         run, qrels = fixture_files
@@ -392,6 +460,48 @@ class TestSimulateCommand:
         path.write_text(json.dumps([{"n": 100, "kind": "uniform", "seed": 1}]))
         assert main(["simulate", "--spec", str(path)]) == 2
         assert "params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, named", [
+        (1, "must be an object"),
+        ({"n": 100, "kind": "uniform", "params": {"a": "x"}, "seed": 1}, "'params.a'"),
+        ({"n": 100, "kind": "uniform", "params": {"a": True}, "seed": 1}, "'params.a'"),
+        ({"n": 100, "kind": "uniform", "params": {"a": 10 ** 400}, "seed": 1},
+         "'params.a' is out of range"),
+        ({"n": "10", "kind": "uniform", "params": {"a": 0.1}, "seed": 1}, "'n'"),
+        ({"n": 100.0, "kind": "uniform", "params": {"a": 0.1}, "seed": 1}, "'n'"),
+        ({"n": True, "kind": "uniform", "params": {"a": 0.1}, "seed": 1}, "'n'"),
+        ({"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": "s"}, "'seed'"),
+        ({"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": False}, "'seed'"),
+        ({"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": -1}, "seed"),
+        ({"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": 1,
+          "noise": "0.1"}, "'noise'"),
+        ({"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": 1,
+          "topic_id": 7}, "'topic_id'"),
+    ])
+    def test_invalid_field_exit_2(self, tmp_path, capsys, entry, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([entry]))
+        assert main(["simulate", "--spec", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" + "1" * 5000 + "]"])
+    def test_unreadable_json_exit_3(self, tmp_path, capsys, text):
+        # too deeply nested for the decoder; an integer past the digit limit
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["simulate", "--spec", str(path)]) == 3
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_duplicate_topic_id_exit_2(self, tmp_path, capsys):
+        # the second spec's default id collides with the first's explicit one
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps([
+            {"topic_id": "S002", "n": 100, "kind": "uniform", "params": {"a": 0.1},
+             "seed": 1},
+            {"n": 100, "kind": "uniform", "params": {"a": 0.2}, "seed": 2},
+        ]))
+        assert main(["simulate", "--spec", str(path)]) == 2
+        assert "'S002'" in capsys.readouterr().err
 
     def test_invalid_param_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,9 +1,16 @@
 """Parsing, joining, round-trips, and synthetic topic generation."""
 
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from tarstop.cli import main
 from tarstop.corpus import (
     SyntheticSpec,
     format_run,
@@ -18,6 +25,12 @@ from tarstop.errors import (
     TopicNotFoundError,
     ValidationError,
 )
+
+
+def rows(run, topic):
+    """(doc_id, rank, score) per document of one topic; rank is the 1-based position."""
+    doc_ids, scores = run.topics[topic]
+    return [(d, rank, score) for rank, (d, score) in enumerate(zip(doc_ids, scores), start=1)]
 
 
 class TestParseQrels:
@@ -57,8 +70,7 @@ class TestParseQrels:
 class TestParseRun:
     def test_sorts_by_rank(self):
         run = parse_run("T1 Q0 d2 2 0.5 x\nT1 Q0 d1 1 0.9 x")
-        entries = run.topics["T1"]
-        assert [(e.doc_id, e.rank, e.score) for e in entries] == [
+        assert rows(run, "T1") == [
             ("d1", 1, 0.9),
             ("d2", 2, 0.5),
         ]
@@ -72,8 +84,9 @@ class TestParseRun:
 
     def test_ranks_renumbered_densely(self):
         run = parse_run("T1 Q0 d9 10 0.1 x\nT1 Q0 d5 5 0.5 x\nT1 Q0 d2 2 0.9 x")
-        assert [e.rank for e in run.topics["T1"]] == [1, 2, 3]
-        assert [e.doc_id for e in run.topics["T1"]] == ["d2", "d5", "d9"]
+        assert [rank for _, rank, _ in rows(run, "T1")] == [1, 2, 3]
+        assert run.topics["T1"].doc_ids == ["d2", "d5", "d9"]
+        assert run.topics["T1"].scores == [0.9, 0.5, 0.1]
 
     def test_non_numeric_rank(self):
         with pytest.raises(ParseError, match="rank"):
@@ -92,9 +105,30 @@ class TestParseRun:
         run = parse_run(text)
         again = parse_run(format_run(run))
         for topic in run.topic_ids():
-            assert [e.doc_id for e in run.topics[topic]] == [
-                e.doc_id for e in again.topics[topic]
-            ]
+            assert run.topics[topic].doc_ids == again.topics[topic].doc_ids
+
+    def test_format_run_text_is_unchanged(self):
+        # rank ties keep file order, rank gaps close up, topics interleave
+        text = (
+            "# ties, gaps and two topics\n"
+            "T2 Q0 b3 5 0.25 run\n"
+            "T1 Q0 a1 10 1.5 run\n"
+            "T2 Q0 b1 5 0.75 run\n"
+            "\n"
+            "T1 Q0 a2 3 2 run\n"
+            "T2 Q0 b2 2 1e-3 run\n"
+            "T1 Q0 a3 10 -0.5 run\n"
+            "T1 Q0 a4 7 3.25 run\n"
+        )
+        assert format_run(parse_run(text)) == (
+            "T1 Q0 a2 1 2.0 tarstop\n"
+            "T1 Q0 a4 2 3.25 tarstop\n"
+            "T1 Q0 a1 3 1.5 tarstop\n"
+            "T1 Q0 a3 4 -0.5 tarstop\n"
+            "T2 Q0 b2 1 0.001 tarstop\n"
+            "T2 Q0 b3 2 0.25 tarstop\n"
+            "T2 Q0 b1 3 0.75 tarstop\n"
+        )
 
 
 class TestJoin:
@@ -188,3 +222,144 @@ class TestGenerateSynthetic:
         # a = 3 would be an invalid Bernoulli probability without clamping
         spec = SyntheticSpec(n=50, kind="uniform", params={"a": 3.0}, seed=4)
         assert generate_synthetic(spec).total_relevant == 50
+
+
+# --- property tests against the per-line parser ---------------------------
+
+
+class _Entry(NamedTuple):
+    doc_id: str
+    rank: int
+    score: float
+
+
+def _reference_parse_run(text: str) -> dict[str, list[_Entry]]:
+    """The per-line run parser the column parser replaced, kept as an oracle."""
+    by_topic: dict[str, list[tuple[int, int, _Entry]]] = {}
+    seen: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(
+                f"expected 6 fields 'topic Q0 docid rank score tag', got {len(parts)}",
+                lineno,
+            )
+        topic, _q0, doc_id, rank_str, score_str, _tag = parts
+        try:
+            rank = int(rank_str)
+        except ValueError:
+            raise ParseError(f"rank {rank_str!r} is not an integer", lineno) from None
+        try:
+            score = float(score_str)
+        except ValueError:
+            raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
+        key = (topic, doc_id)
+        if key in seen:
+            raise DuplicateEntryError(
+                f"doc {doc_id!r} listed twice for topic {topic!r}", lineno
+            )
+        seen.add(key)
+        by_topic.setdefault(topic, []).append((rank, lineno, _Entry(doc_id, rank, score)))
+
+    topics: dict[str, list[_Entry]] = {}
+    for topic, entries in by_topic.items():
+        entries.sort(key=lambda r: (r[0], r[1]))  # stable on duplicate ranks
+        topics[topic] = [
+            _Entry(e.doc_id, new_rank, e.score)
+            for new_rank, (_, _, e) in enumerate(entries, start=1)
+        ]
+    return topics
+
+
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def _run_line(draw) -> str:
+    kind = draw(st.sampled_from(
+        ["record"] * 24 + ["comment", "blank", "short", "long", "bad rank", "bad score"]
+    ))
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# note", "  #T1 Q0 d1 1 1 x", "#T1"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    rank = draw(st.integers(-3, 12).map(str))  # ties, gaps and negative ranks
+    score = draw(st.one_of(
+        st.floats(allow_nan=False, width=32).map(repr), st.integers(-5, 5).map(str)
+    ))
+    if kind == "bad rank":
+        rank = draw(st.sampled_from(["x", "1.5", "1e3"]))
+    if kind == "bad score":
+        score = draw(st.sampled_from(["high", "0x1", "1,5"]))
+    topic = draw(st.sampled_from(["T1", "T2", "t3"]))
+    doc = draw(st.sampled_from([f"d{i}" for i in range(16)]))
+    fields = [topic, "Q0", doc, rank, score, "tag"]
+    if kind == "short":
+        del fields[draw(st.integers(0, 5))]
+    elif kind == "long":
+        fields.append("extra")
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    return lead + draw(_SPACE).join(fields)
+
+
+_run_text = st.builds(
+    lambda lines, sep, tail: sep.join(lines) + tail,
+    st.lists(_run_line(), max_size=15),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+    st.sampled_from(["", "\n"]),
+)
+
+
+_VALID_RUN = "".join(f"T Q0 d{r} {r} {1 - r / 100} x\n" for r in range(1, 41))
+_VALID_QRELS = "".join(f"T 0 d{r} {int(r % 3 == 0)}\n" for r in range(1, 41))
+
+
+@st.composite
+def _mangled(draw, data: bytes) -> bytes:
+    """``data`` with a few byte ranges overwritten by arbitrary bytes."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 3))] = draw(st.binary(max_size=4))
+    return bytes(data)
+
+
+class TestParserProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_run_text)
+    def test_parse_run_matches_per_line_reference(self, text):
+        try:
+            expected = _reference_parse_run(text)
+        except ParseError as ref_exc:
+            with pytest.raises(type(ref_exc)) as caught:
+                parse_run(text)
+            assert caught.value.line == ref_exc.line
+            assert str(caught.value) == str(ref_exc)
+            return
+        run = parse_run(text)
+        assert list(run.topics) == list(expected)
+        for topic, entries in expected.items():
+            assert rows(run, topic) == [tuple(e) for e in entries]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        which=st.sampled_from(["run", "qrels"]),
+        data=st.one_of(
+            st.binary(max_size=120),
+            _mangled(_VALID_RUN.encode()),
+            _mangled(_VALID_QRELS.encode()),
+            st.just(b"\xef\xbb\xbf" + _VALID_RUN.encode()),
+        ),
+    )
+    def test_stop_exits_cleanly_on_any_bytes(self, which, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"run": Path(tmp, "run.txt"), "qrels": Path(tmp, "qrels.txt")}
+            files["run"].write_text(_VALID_RUN)
+            files["qrels"].write_text(_VALID_QRELS)
+            files[which].write_bytes(data)
+            code = main(["stop", "--run", str(files["run"]), "--qrels", str(files["qrels"]),
+                         "--window", "5", "--output", str(Path(tmp, "out.json"))])
+        assert code in (0, 2, 3, 4)
