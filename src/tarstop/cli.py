@@ -23,7 +23,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import baselines, corpus, metrics, stopping
@@ -99,7 +98,8 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", type=Path, default=None,
                         help="output file; stdout when omitted")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel topic workers (output order is canonical)")
+                        help="accepted for compatibility; has no effect "
+                             "(topics run one after another)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"base seed for randomized methods (default {DEFAULT_SEED})")
 
@@ -155,13 +155,6 @@ def _topic_seed(base: int, topic_id: str, method: str) -> int:
     # Stable across platforms and process pools, unlike hash().
     digest = hashlib.sha256(f"{base}:{method}:{topic_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- record serialization ------------------------------------------------
@@ -360,16 +353,12 @@ def _compare_over_topics(
     args: argparse.Namespace,
 ) -> tuple[list[dict], list[dict], list[dict]]:
     """Per-topic metric rows, aggregate rows, and outcome rows, sorted."""
-
-    def run(topic):
+    results = []
+    for topic in topics:
         memo = {}  # ip and cox read the same fits
-        results = []
         for method in methods:
             outcome = _run_method(method, topic, args, memo)
             results.append((outcome, metrics.topic_metrics(outcome, topic, args.target_recall)))
-        return results
-
-    results = [r for rs in _parallel_map(run, topics, args.jobs) for r in rs]
     results.sort(key=lambda r: (r[1].topic_id, r[1].method))
 
     topic_rows = [_metrics_record(tm) for _, tm in results]
@@ -388,6 +377,12 @@ def _write_metrics_outputs(
     extra_topic_columns: list[str] | None = None,
     agg_key_columns: list[str] | None = None,
 ) -> None:
+    # e.g. RE = |recall - target| / target overflows at a subnormal target
+    if not all(
+        math.isfinite(v) for row in topic_rows + agg_rows for v in row.values()
+        if isinstance(v, float)
+    ):
+        raise TarStopError("a metric is not finite; is --target-recall too small?")
     keys = agg_key_columns or ["method"]
     agg_columns = keys + [
         "topics", "reliability",
@@ -421,11 +416,7 @@ def _write_metrics_outputs(
 def _cmd_stop(args: argparse.Namespace) -> int:
     topics = _load_topics(args.run, args.qrels)
     config = _config_from_args(args)
-
-    def run(topic):
-        return stopping.run_stopping(topic, config)
-
-    outcomes = _parallel_map(run, topics, args.jobs)
+    outcomes = [stopping.run_stopping(topic, config) for topic in topics]
     outcomes.sort(key=lambda o: o.topic_id)
     records = [_outcome_record(o, with_traces=args.trace) for o in outcomes]
     if args.format == "json":
@@ -481,6 +472,7 @@ def _check_outcome_counts(
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    stopping.StoppingConfig(target_recall=args.target_recall)  # the same range check
     topics = {t.topic_id: t for t in _load_topics(args.run, args.qrels)}
     try:
         payload = json.loads(_read_input(args.outcomes, "outcomes"))
@@ -603,16 +595,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for proc, rate, thr, mr, level, conf in combos
     ]
 
-    def run(topic):
+    per_topic = []
+    for topic in topics:
         memo = {}  # every combination with the same rate reads the same fits
-        return [
+        per_topic.append([
             metrics.topic_metrics(
                 stopping.run_stopping(topic, config, memo), topic, config.target_recall
             )
             for config in configs
-        ]
-
-    per_topic = _parallel_map(run, topics, args.jobs)
+        ])
 
     combo_keys = ["process", "rate", "nrmse_threshold", "min_rel", "target_recall", "confidence"]
     topic_rows = []

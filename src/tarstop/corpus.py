@@ -71,7 +71,7 @@ class RankedTopic:
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=bool).copy()
-        labels.flags.writeable = False  # shareable across topic workers
+        labels.flags.writeable = False  # a topic's memoized fits assume fixed labels
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.size < 1:
             raise ValidationError(

@@ -17,7 +17,6 @@ relevant documents already seen.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,14 +54,6 @@ def poisson_pmf(mean: float, m: int) -> float:
     return math.exp(-mean + m * math.log(mean) - float(gammaln(m + 1)))
 
 
-def _pmf_row(mean: float, counts: np.ndarray) -> np.ndarray:
-    if mean == 0.0:
-        row = np.zeros(counts.size)
-        row[0] = 1.0
-        return row
-    return np.exp(-mean + counts * math.log(mean) - gammaln(counts + 1))
-
-
 # Longest count array a quantile search may allocate (32 MiB of float64).
 # A wild fit can imply a mass of 1e13 or more; it fails cleanly instead.
 _MAX_COUNTS = 2**22
@@ -80,27 +71,44 @@ def _bounded_cap(cap: int) -> int:
     return cap
 
 
+def _mixture_quantile(masses: np.ndarray, weights: np.ndarray, p: float) -> int:
+    """Smallest m whose cumulative probability under a Poisson mixture reaches p.
+
+    The mixture has one Poisson component per mass, weighted by the
+    matching (normalized) weight. Direct summation of the mass functions;
+    exactness matters at the small means typical near a stopping decision.
+    Components are added one at a time over a shared count array, so the
+    memory used grows with the count cap only. Raises
+    DegenerateDistributionError when the sum would need more than 2**22
+    terms.
+    """
+    cap = _summation_cap(float(masses.max()))
+    while True:
+        counts = np.arange(cap + 1, dtype=float)
+        log_factorials = gammaln(counts + 1)
+        mixture = np.zeros(counts.size)
+        for w, mass in zip(weights.tolist(), masses.tolist()):
+            if mass == 0.0:
+                mixture[0] += w
+            else:
+                mixture += w * np.exp(-mass + counts * math.log(mass) - log_factorials)
+        cdf = np.cumsum(mixture)
+        if cdf[-1] >= p:
+            return int(np.searchsorted(cdf, p, side="left"))
+        cap = _bounded_cap(cap * 2)
+
+
 def poisson_quantile(mean: float, p: float) -> int:
     """Smallest m whose cumulative Poisson probability reaches p.
 
-    Direct summation of the mass function; exactness matters at the
-    small means typical near a stopping decision. Raises
-    DegenerateDistributionError when the sum would need more than
+    Raises DegenerateDistributionError when the sum would need more than
     2**22 terms.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {p}")
     if mean < 0 or not math.isfinite(mean):
         raise ValueError(f"mean must be finite and >= 0, got {mean}")
-    if mean == 0.0:
-        return 0
-    cap = _summation_cap(mean)
-    while True:
-        counts = np.arange(cap + 1, dtype=float)
-        cdf = np.cumsum(_pmf_row(mean, counts))
-        if cdf[-1] >= p:
-            return int(np.searchsorted(cdf, p, side="left"))
-        cap = _bounded_cap(cap * 2)
+    return _mixture_quantile(np.array([mean]), np.array([1.0]), p)
 
 
 def _check_interval(i: int, j: int) -> None:
@@ -139,24 +147,14 @@ def _param_grids(
     return axes, weights
 
 
-def _valid_combo(kind: RateKind, values: tuple[float, ...]) -> bool:
-    a = values[0]
-    if a <= 0:
-        return False
+def _valid_points(kind: RateKind, points: np.ndarray) -> np.ndarray:
+    """Mask of grid points (columns) that satisfy the family's constraints."""
+    valid = points[0] > 0
     if kind is RateKind.HYPERBOLIC:
-        _, b, c = values
-        return 0.0 <= b <= 1.0 and c > 0
+        return valid & (points[1] >= 0.0) & (points[1] <= 1.0) & (points[2] > 0)
     if kind is RateKind.AP_PRIOR:
-        return True
-    return values[1] <= 0  # decline constraint for exponential / power law
-
-
-def _combo_params(kind: RateKind, values: tuple[float, ...], n_total: int | None) -> RateParams:
-    if kind is RateKind.HYPERBOLIC:
-        return RateParams(kind, a=values[0], b=values[1], c=values[2])
-    if kind is RateKind.AP_PRIOR:
-        return RateParams(kind, a=values[0], n_total=n_total)
-    return RateParams(kind, a=values[0], b=values[1])
+        return valid
+    return valid & (points[1] <= 0)  # decline constraint for exponential / power law
 
 
 def estimate_remaining_cox(
@@ -182,37 +180,24 @@ def estimate_remaining_cox(
 
     kind = curve.params.kind
     axes, axis_weights = _param_grids(curve, grid)
-    combos = []
-    combo_weights = []
-    for values, ws in zip(itertools.product(*axes), itertools.product(*axis_weights)):
-        if not _valid_combo(kind, values):
-            continue
-        combos.append(values)
-        combo_weights.append(math.prod(ws))
-    if not combos:
+    # one column per grid point, in row-major order: the order of the weight sum
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    weights = np.multiply.reduce(np.meshgrid(*axis_weights, indexing="ij")).ravel()
+    valid = _valid_points(kind, points)
+    if not valid.any():
         raise DegenerateDistributionError(
             "every grid point violates the parameter constraints"
         )
-    weights = np.asarray(combo_weights)
+    weights = weights[valid]
     weights = weights / weights.sum()
 
+    # a scalar integral per point: an array form would use numpy's exp,
+    # which differs from math.exp in the last bit for some arguments
     masses = np.array(
         [
-            rate_integral(_combo_params(kind, values, curve.params.n_total), i, j)
-            for values in combos
+            rate_integral(RateParams.from_values(kind, values, curve.params.n_total), i, j)
+            for values in points[:, valid].T
         ]
     )
     mean_mass = float(weights @ masses)
-
-    cap = _summation_cap(float(masses.max()))
-    while True:
-        counts = np.arange(cap + 1, dtype=float)
-        mixture = np.zeros(counts.size)
-        for w, mass in zip(weights, masses):
-            mixture += w * _pmf_row(float(mass), counts)
-        cdf = np.cumsum(mixture)
-        if cdf[-1] >= p:
-            upper = int(np.searchsorted(cdf, p, side="left"))
-            break
-        cap = _bounded_cap(cap * 2)
-    return RemainingEstimate((i, j), mean_mass, upper, p)
+    return RemainingEstimate((i, j), mean_mass, _mixture_quantile(masses, weights, p), p)

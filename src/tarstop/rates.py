@@ -87,6 +87,20 @@ class RateParams:
             return (self.a,)
         return (self.a, self.b)
 
+    @classmethod
+    def from_values(
+        cls, kind: RateKind, values, n_total: int | None = None
+    ) -> RateParams:
+        """Inverse of ``values()``; ``n_total`` is kept for ap_prior only."""
+        if kind is RateKind.HYPERBOLIC:
+            a, b, c = values
+            return cls(kind, a=a, b=b, c=c)
+        if kind is RateKind.AP_PRIOR:
+            (a,) = values
+            return cls(kind, a=a, n_total=n_total)
+        a, b = values
+        return cls(kind, a=a, b=b)
+
 
 @dataclass(frozen=True)
 class RateCurve:
@@ -287,16 +301,6 @@ def _natural_jacobian(kind: RateKind, nat: tuple[float, ...]) -> np.ndarray:
     return np.array([a, b])  # d(-exp(v))/dv = b; squared below anyway
 
 
-def _params_from_natural(
-    kind: RateKind, nat: tuple[float, ...], n_total: int
-) -> RateParams:
-    if kind is RateKind.HYPERBOLIC:
-        return RateParams(kind, a=nat[0], b=nat[1], c=nat[2])
-    if kind is RateKind.AP_PRIOR:
-        return RateParams(kind, a=nat[0], n_total=n_total)
-    return RateParams(kind, a=nat[0], b=nat[1])
-
-
 def _decay_slope(x: np.ndarray, logy: np.ndarray) -> float:
     slope = float(np.polyfit(x, logy, 1)[0])
     return min(slope, -1e-6)
@@ -340,7 +344,7 @@ def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCur
 
     def residual(t: np.ndarray) -> np.ndarray:
         nat = _natural(kind, t)
-        params = _params_from_natural(kind, nat, n_total)
+        params = RateParams.from_values(kind, nat, n_total)
         return np.asarray(rate_value(params, x)) - y
 
     t0 = _initial_guess(points, kind, n_total)
@@ -349,7 +353,7 @@ def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCur
         raise FitFailureError(f"least squares did not converge: {result.message}")
 
     nat = _natural(kind, result.x)
-    params = _params_from_natural(kind, nat, n_total)
+    params = RateParams.from_values(kind, nat, n_total)
 
     n_params = t0.size
     dof = m - n_params

@@ -103,6 +103,12 @@ class StoppingConfig:
             raise ConfigError(f"nrmse_threshold must be > 0, got {self.nrmse_threshold}")
         if self.window_size < 1:
             raise ConfigError(f"window_size must be >= 1, got {self.window_size}")
+        # a three-parameter grid of 161**3 points stays within the 2**22
+        # elements the count estimator allows its arrays
+        if not (3 <= self.cox_grid <= 161 and self.cox_grid % 2 == 1):
+            raise ConfigError(
+                f"cox_grid must be an odd integer in [3, 161], got {self.cox_grid}"
+            )
 
 
 def default_config() -> StoppingConfig:
@@ -134,11 +140,21 @@ class StoppingOutcome:
     traces: tuple[IterationTrace, ...] = ()
 
 
+def _snap(x: float) -> float:
+    """x, or the integer it misses only by float noise (0.07 * 100 is
+    7.000000000000001), so that a ceiling lands on the intended integer."""
+    nearest = round(x)
+    if abs(x - nearest) < 1e-9 * max(1.0, abs(x)):
+        return float(nearest)
+    return x
+
+
 def checkpoints(n: int, config: StoppingConfig) -> list[int]:
     """Candidate stopping ranks (strictly below n) for one topic."""
-    first = math.ceil(config.alpha * n)
+    # at least rank 1 and a step of 1, even when a fraction of n snaps to 0
+    first = max(1, math.ceil(_snap(config.alpha * n)))
     if config.batch_schedule is BatchSchedule.UNIFORM_FRACTION:
-        step = math.ceil(config.beta * n)
+        step = max(1, math.ceil(_snap(config.beta * n)))
         return list(range(first, n, step)) if first < n else []
     # Growing batches: size 1, then += ceil(size/10); fits start at the
     # initial-sample rank even though batch boundaries exist earlier.
@@ -164,10 +180,7 @@ def stop_decision(
     variant instead requires target * estimate to fall strictly below
     the found count.
     """
-    required = target_recall * total_estimate
-    # snap float noise at integer boundaries (0.07 * 100 -> 7.000000000000001)
-    if abs(required - round(required)) < 1e-9 * max(1.0, abs(required)):
-        required = float(round(required))
+    required = _snap(target_recall * total_estimate)
     if pseudocode_rule:
         return required < rel_found
     return rel_found >= math.ceil(required)

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, schemas, exit codes, determinism."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tarstop.cli import main
+from tarstop.corpus import SYNTHETIC_KINDS
 
 METRIC_HEADER = "topic,method,recall,cost,hit_target,RE,loss_r,loss_e,loss_er"
 
@@ -122,6 +127,15 @@ class TestStopCommand:
         assert main(["stop", *flags(run, qrels), "--target-recall", "1.5"]) == 2
         assert "target_recall" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["8", "1", "163"])
+    def test_cox_grid_out_of_range_exit_2(self, fixture_files, capsys, grid):
+        # an estimator error at every checkpoint used to be recorded as a
+        # failed fit, so the command screened everything and exited 0
+        run, qrels = fixture_files
+        assert main(["stop", *flags(run, qrels), "--process", "cox",
+                     "--cox-grid", grid]) == 2
+        assert "cox_grid" in capsys.readouterr().err
+
     def test_parse_error_exit_3(self, tmp_path, fixture_files, capsys):
         run, qrels = fixture_files
         bad = tmp_path / "bad.txt"
@@ -227,15 +241,32 @@ class TestEvaluateCommand:
         record = {"topic": "X", "method": "target", "stop_rank": 1,
                   "docs_examined": 2, "rel_found": 1, "hit_end": False}
         assert self.evaluate(tmp_path, record) == 0
+        assert self.evaluate(tmp_path, record, "--target-recall", "1") == 0
+
+    @pytest.mark.parametrize("level", ["0", "nan", "-0.5", "1.5"])
+    def test_target_recall_out_of_range_exit_2(self, tmp_path, capsys, level):
+        record = {"topic": "X", "method": "ip", "stop_rank": 1,
+                  "docs_examined": 1, "rel_found": 1, "hit_end": False}
+        assert self.evaluate(tmp_path, record, f"--target-recall={level}") == 2
+        assert "target_recall" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # std of inf
+    def test_overflowing_metric_exit_4(self, tmp_path, capsys):
+        # RE = |recall - target| / target is infinite at a subnormal target
+        record = {"topic": "X", "method": "ip", "stop_rank": 1,
+                  "docs_examined": 1, "rel_found": 1, "hit_end": False}
+        assert self.evaluate(tmp_path, record, "--target-recall=5e-324") == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     @staticmethod
-    def evaluate(tmp_path, record) -> int:
+    def evaluate(tmp_path, record, *extra) -> int:
         # a 2-document topic whose documents are both relevant
         run, qrels = write_topics(tmp_path, {"X": [1, 1]})
         outcomes = tmp_path / "o.json"
         outcomes.write_text(json.dumps({"outcomes": [record]}))
         return main(["evaluate", "--outcomes", str(outcomes), "--run", str(run),
-                     "--qrels", str(qrels), "--output", str(tmp_path / "m.json")])
+                     "--qrels", str(qrels), "--output", str(tmp_path / "m.json"), *extra])
 
 
 class TestStopEvaluateRoundTrip:
@@ -561,3 +592,123 @@ class TestFitSharing:
                                                 "--methods", "ip"])
         assert both and len(both) == len(set(both))
         assert set(both) >= set(ip_only)
+
+
+# --- property tests: any spec or outcome file ends in a clean exit ---------
+
+
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(), st.text(max_size=6)
+)
+_JSON_VALUE = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+# values that are wrong for any field (a large integer is left out: a
+# large n is not fuzzed, it only costs time)
+_ODD_VALUE = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+                       st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def _mutated(draw, record: dict) -> dict:
+    """``record`` with up to two fields (or nested params) dropped or replaced."""
+    for _ in range(draw(st.integers(0, 2))):
+        target = record
+        if isinstance(record.get("params"), dict) and record["params"] and draw(st.booleans()):
+            target = record["params"]
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_ODD_VALUE)
+    return record
+
+
+_SPEC_PARAMS = {
+    "exponential": {"a": st.floats(0.0, 1.0), "b": st.floats(-0.05, 0.0)},
+    "hyperbolic": {"a": st.floats(0.0, 1.0), "b": st.floats(0.0, 1.0),
+                   "c": st.floats(1e-3, 0.1)},
+    "power": {"a": st.floats(0.0, 1.0), "b": st.floats(-1.5, 0.0)},
+    "ap_prior": {"a": st.floats(0.0, 50.0)},
+    "uniform": {"a": st.floats(0.0, 1.0)},
+}
+
+
+@st.composite
+def _spec_entry(draw) -> dict:
+    kind = draw(st.sampled_from(SYNTHETIC_KINDS))
+    entry = {
+        "n": draw(st.integers(1, 300)),
+        "kind": kind,
+        "params": draw(st.fixed_dictionaries(_SPEC_PARAMS[kind])),
+        "seed": draw(st.integers(0, 2**70)),
+    }
+    if draw(st.booleans()):
+        entry["noise"] = draw(st.floats(0.0, 0.3))
+    return draw(_mutated(entry))
+
+
+_SPEC_PAYLOAD = st.one_of(
+    _JSON_VALUE,
+    st.lists(_spec_entry(), min_size=1, max_size=3),
+    st.lists(_spec_entry(), max_size=3).map(lambda topics: {"topics": topics}),
+)
+
+# the topics every fuzzed outcome file is scored against
+_EVAL_TOPICS = {"X": [1, 0, 1, 0, 0], "Y": [0, 0, 0]}
+
+
+@st.composite
+def _outcome_record(draw) -> dict:
+    topic = draw(st.sampled_from(sorted(_EVAL_TOPICS)))
+    labels = _EVAL_TOPICS[topic]
+    stop_rank = draw(st.integers(1, len(labels)))
+    record = {
+        "topic": topic,
+        "method": draw(st.sampled_from(["ip", "cox", "oracle", ""])),
+        "stop_rank": stop_rank,
+        "docs_examined": draw(st.integers(stop_rank, len(labels))),
+        "rel_found": draw(st.integers(0, sum(labels[:stop_rank]))),
+        "hit_end": draw(st.booleans()),
+    }
+    return draw(_mutated(record))
+
+
+_OUTCOME_PAYLOAD = st.one_of(
+    _JSON_VALUE,
+    st.lists(_outcome_record(), max_size=4),
+    st.lists(_outcome_record(), max_size=4).map(lambda rs: {"outcomes": rs}),
+)
+
+
+class TestFileProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(payload=_SPEC_PAYLOAD, rate=st.sampled_from(["exp", "hyp", "pow", "ap"]))
+    def test_simulate_exits_cleanly_on_any_spec(self, payload, rate):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = Path(tmp, "spec.json")
+            spec.write_text(json.dumps(payload))
+            code = main(["simulate", "--spec", str(spec), "--rate", rate,
+                         "--methods", "ip,cox,oracle,target,target-adapted,knee",
+                         "--alpha", "0.1", "--beta", "0.1", "--window", "5",
+                         "--output", str(Path(tmp, "out.json"))])
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        payload=_OUTCOME_PAYLOAD,
+        level=st.one_of(st.just(0.9), st.floats(0.0, 1.0), st.floats()),
+    )
+    def test_evaluate_exits_cleanly_on_any_outcomes(self, payload, level):
+        with tempfile.TemporaryDirectory() as tmp:
+            run, qrels = write_topics(Path(tmp), _EVAL_TOPICS)
+            outcomes = Path(tmp, "outcomes.json")
+            outcomes.write_text(json.dumps(payload))
+            code = main(["evaluate", "--outcomes", str(outcomes), "--run", str(run),
+                         "--qrels", str(qrels), f"--target-recall={level!r}",
+                         "--output", str(Path(tmp, "out.json"))])
+        assert code in (0, 2, 3, 4)

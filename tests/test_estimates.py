@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from tarstop.errors import DegenerateDistributionError, ValidationError
 from tarstop.estimates import (
@@ -217,23 +218,126 @@ class TestEstimateRemainingCox:
         assert bounds == sorted(bounds)
 
 
-def _mixture_components(curve, i, j):
-    """Reference mixture decomposition used by the oracle-side checks."""
-    from tarstop.estimates import _combo_params, _param_grids, _valid_combo
+def _admissible(kind, values) -> bool:
+    a = values[0]
+    if kind is RateKind.HYPERBOLIC:
+        return a > 0 and 0.0 <= values[1] <= 1.0 and values[2] > 0
+    if kind is RateKind.AP_PRIOR:
+        return a > 0
+    return a > 0 and values[1] <= 0
 
-    axes, axis_weights = _param_grids(curve, 9)
-    masses, weights = [], []
-    for values, ws in zip(
-        itertools.product(*axes), itertools.product(*axis_weights)
-    ):
-        if not _valid_combo(curve.params.kind, values):
+
+def _point_params(kind, values, n_total) -> RateParams:
+    if kind is RateKind.HYPERBOLIC:
+        return RateParams(kind, a=values[0], b=values[1], c=values[2])
+    if kind is RateKind.AP_PRIOR:
+        return RateParams(kind, a=values[0], n_total=n_total)
+    return RateParams(kind, a=values[0], b=values[1])
+
+
+def _mixture_components(curve, i, j, grid=9):
+    """Reference mixture decomposition, built one grid point at a time."""
+    simpson = np.array([1.0] + [4.0 if k % 2 else 2.0 for k in range(1, grid - 1)] + [1.0])
+    axes, axis_weights = [], []
+    for mu, var in zip(curve.params.values(), curve.param_variance):
+        if var == 0.0:
+            axes.append(np.array([mu]))
+            axis_weights.append(np.array([1.0]))
             continue
-        masses.append(
-            rate_integral(_combo_params(curve.params.kind, values, None), i, j)
-        )
+        sd = math.sqrt(var)
+        pts = np.linspace(mu - 3.0 * sd, mu + 3.0 * sd, grid)
+        axes.append(pts)
+        axis_weights.append(simpson * np.exp(-0.5 * ((pts - mu) / sd) ** 2))
+    kind = curve.params.kind
+    masses, weights = [], []
+    for values, ws in zip(itertools.product(*axes), itertools.product(*axis_weights)):
+        if not _admissible(kind, values):
+            continue
+        params = _point_params(kind, values, curve.params.n_total)
+        masses.append(rate_integral(params, i, j))
         weights.append(math.prod(ws))
     weights = np.asarray(weights)
     return np.asarray(masses), weights / weights.sum()
+
+
+def _reference_cox(curve, i, j, p, grid=9):
+    """(mixture mean, upper bound) summing one pmf row per grid point."""
+    masses, weights = _mixture_components(curve, i, j, grid)
+    cap = int(masses.max() + 20.0 * math.sqrt(masses.max()) + 100.0)
+    while True:
+        counts = np.arange(cap + 1, dtype=float)
+        mixture = np.zeros(counts.size)
+        for w, lam in zip(weights, masses):
+            if lam == 0.0:
+                row = np.zeros(counts.size)
+                row[0] = 1.0
+            else:
+                row = np.exp(-lam + counts * math.log(lam) - gammaln(counts + 1))
+            mixture += w * row
+        cdf = np.cumsum(mixture)
+        if cdf[-1] >= p:
+            return float(weights @ masses), int(np.searchsorted(cdf, p, side="left"))
+        cap *= 2
+
+
+def _random_cox_curve(rng, kind, n, zero_variance=None) -> RateCurve:
+    if kind is RateKind.EXPONENTIAL:
+        params = RateParams(kind, a=rng.uniform(0.1, 0.9), b=-rng.uniform(1e-3, 2e-2))
+        variances = [rng.uniform(1e-6, 1e-2), rng.uniform(1e-10, 1e-5)]
+    elif kind is RateKind.POWER_LAW:
+        # wide enough in b to cross the b = -1 branch and the b <= 0 bound
+        params = RateParams(kind, a=rng.uniform(0.2, 2.0), b=-rng.uniform(0.3, 1.5))
+        variances = [rng.uniform(1e-4, 0.1), rng.uniform(1e-3, 0.05)]
+    elif kind is RateKind.HYPERBOLIC:
+        params = RateParams(
+            kind, a=rng.uniform(0.1, 0.9), b=rng.uniform(0.05, 0.95), c=rng.uniform(1e-3, 5e-2)
+        )
+        variances = [rng.uniform(1e-5, 1e-2), rng.uniform(1e-4, 0.05), rng.uniform(1e-8, 1e-4)]
+    else:
+        params = RateParams(kind, a=rng.uniform(5.0, 200.0), n_total=n)
+        variances = [rng.uniform(1.0, 100.0)]
+    if zero_variance is not None:
+        variances[zero_variance % len(variances)] = 0.0
+    return RateCurve(params, tuple(float(v) for v in variances), nrmse=0.01, points_used=20)
+
+
+class TestCoxMatchesPerPointReference:
+    """The array-built grid and shared summation give the reference's exact
+    numbers, not approximately equal ones."""
+
+    @staticmethod
+    def assert_exact(curve, i, j, p=0.95, grid=9):
+        est = estimate_remaining_cox(curve, i, j, p, grid)
+        mean, upper = _reference_cox(curve, i, j, p, grid)
+        assert est.lambda_mass == mean
+        assert est.upper_bound == upper
+        assert not est.fallback
+
+    @pytest.mark.parametrize("kind", list(RateKind))
+    def test_random_curves(self, rng, kind):
+        n = 3000
+        for trial in range(6):
+            curve = _random_cox_curve(rng, kind, n, zero_variance=trial if trial % 2 else None)
+            i = int(rng.integers(2, 600))
+            self.assert_exact(curve, i, n, p=float(rng.uniform(0.5, 0.99)))
+
+    @pytest.mark.parametrize("b", [1e-9, 1.0 - 1e-9])
+    def test_hyperbolic_b_near_branch_guards(self, b):
+        # the b grid straddles the b -> 0 and b -> 1 guards (1e-9 from each)
+        params = RateParams(RateKind.HYPERBOLIC, a=0.5, b=b, c=0.01)
+        curve = RateCurve(params, (1e-4, 4e-19, 1e-7), nrmse=0.01, points_used=20)
+        self.assert_exact(curve, 80, 2500)
+
+    @pytest.mark.parametrize("kind", list(RateKind))
+    def test_empty_interval(self, rng, kind):
+        curve = _random_cox_curve(rng, kind, 500)
+        est = estimate_remaining_cox(curve, 500, 500, 0.95)
+        assert (est.lambda_mass, est.upper_bound) == (0.0, 0)
+        self.assert_exact(curve, 500, 500)
+
+    def test_finer_grid(self, rng):
+        curve = _random_cox_curve(rng, RateKind.HYPERBOLIC, 2000)
+        self.assert_exact(curve, 100, 2000, grid=15)
 
 
 class TestMemoryBound:

@@ -59,6 +59,15 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             StaticMinRel(0)
 
+    @pytest.mark.parametrize("grid", [1, 2, 8, 163, 165])
+    def test_cox_grid_must_be_odd_within_budget(self, grid):
+        with pytest.raises(ConfigError):
+            StoppingConfig(cox_grid=grid)
+
+    def test_cox_grid_range_ends_accepted(self):
+        assert StoppingConfig(cox_grid=3).cox_grid == 3
+        assert StoppingConfig(cox_grid=161).cox_grid == 161
+
 
 class TestCheckpoints:
     def test_uniform_fraction(self):
@@ -74,6 +83,15 @@ class TestCheckpoints:
         points = checkpoints(101, cfg)  # ceil(2.525) = 3
         assert points[0] == 3
         assert all(b - a == 3 for a, b in zip(points, points[1:]))
+
+    def test_fraction_float_noise_absorbed(self):
+        # 0.07 * 100 is 7.000000000000001; a bare ceiling would give 8
+        cfg = StoppingConfig(alpha=0.07, beta=0.07)
+        assert checkpoints(100, cfg) == list(range(7, 100, 7))
+
+    def test_tiny_fraction_still_steps_one_rank(self):
+        cfg = StoppingConfig(alpha=1e-12, beta=1e-12)
+        assert checkpoints(10, cfg) == list(range(1, 10))
 
     def test_alpha_covering_everything(self):
         cfg = StoppingConfig(alpha=1.0)
