@@ -64,7 +64,6 @@ from .stopping import (
     StoppingConfig,
     StoppingOutcome,
     checkpoints,
-    default_config,
     run_stopping,
     stop_decision,
 )

@@ -55,14 +55,6 @@ BATCH_NAMES = {
 MINREL_NAMES = ("static10", "static20", "dynamic")
 COMPARE_METHODS = ("ip", "cox", "oracle", "target", "target-adapted", "knee")
 
-METRIC_COLUMNS = [
-    "topic", "method", "recall", "cost", "hit_target",
-    "RE", "loss_r", "loss_e", "loss_er",
-]
-OUTCOME_COLUMNS = [
-    "topic", "method", "stop_rank", "docs_examined", "rel_found", "hit_end",
-]
-
 
 def _min_rel_rule(name: str) -> stopping.MinRelRule:
     if name == "dynamic":
@@ -244,12 +236,14 @@ def _aggregate_record(method: str, cm: metrics.CollectionMetrics) -> dict:
     }
 
 
-def _csv_text(rows: list[dict], columns: list[str]) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    """CSV with one column per key of the first row, in its key order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    columns = list(rows[0])
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        writer.writerow([_csv_cell(row[col]) for col in columns])
     return buf.getvalue()
 
 
@@ -276,9 +270,9 @@ def _agg_path(output: Path) -> Path:
     return output.with_name(output.stem + ".agg" + output.suffix)
 
 
-def _print_aggregate_table(agg_rows: list[dict], keys: list[str]) -> None:
-    if not agg_rows:
-        return
+def _print_aggregate_table(agg_rows: list[dict]) -> None:
+    columns = list(agg_rows[0])
+    keys = columns[: columns.index("topics")]  # the method, or a sweep's combination
     header = keys + ["topics", "reliability", "recall", "cost", "loss_er"]
     print("  ".join(f"{h:>14}" for h in header))
     for row in agg_rows:
@@ -297,11 +291,10 @@ def _run_method(
     method: str,
     topic: corpus.RankedTopic,
     args: argparse.Namespace,
-    memo: stopping.FitMemo,
 ) -> stopping.StoppingOutcome:
     if method in ("ip", "cox"):
         config = _config_from_args(args, process=PROCESS_NAMES[method])
-        return stopping.run_stopping(topic, config, memo)
+        return stopping.run_stopping(topic, config)
     if method == "oracle":
         return baselines.oracle_stop(topic, args.target_recall)
     if method == "target":
@@ -333,11 +326,6 @@ def _run_method(
 def _parse_methods(raw: str) -> list[str]:
     names = [m.strip() for m in raw.split(",") if m.strip()]
     for name in names:
-        if name == "qbcb":
-            raise ConfigError(
-                "method 'qbcb' is unavailable: its bound computation is not "
-                f"specified here; valid methods: {', '.join(COMPARE_METHODS)}"
-            )
         if name not in COMPARE_METHODS:
             raise ConfigError(
                 f"unknown method {name!r}; valid methods: {', '.join(COMPARE_METHODS)}"
@@ -351,31 +339,27 @@ def _compare_over_topics(
     topics: list[corpus.RankedTopic],
     methods: list[str],
     args: argparse.Namespace,
-) -> tuple[list[dict], list[dict], list[dict]]:
-    """Per-topic metric rows, aggregate rows, and outcome rows, sorted."""
-    results = []
-    for topic in topics:
-        memo = {}  # ip and cox read the same fits
-        for method in methods:
-            outcome = _run_method(method, topic, args, memo)
-            results.append((outcome, metrics.topic_metrics(outcome, topic, args.target_recall)))
-    results.sort(key=lambda r: (r[1].topic_id, r[1].method))
+) -> tuple[list[dict], list[dict]]:
+    """Per-topic metric rows and aggregate rows, sorted."""
+    results = [
+        metrics.topic_metrics(_run_method(method, topic, args), topic, args.target_recall)
+        for topic in topics
+        for method in methods
+    ]
+    results.sort(key=lambda tm: (tm.topic_id, tm.method))
 
-    topic_rows = [_metrics_record(tm) for _, tm in results]
-    outcome_rows = [_outcome_record(o, with_traces=False) for o, _ in results]
+    topic_rows = [_metrics_record(tm) for tm in results]
     agg_rows = []
     for method in sorted(methods):
-        group = [tm for _, tm in results if tm.method == method]
+        group = [tm for tm in results if tm.method == method]
         agg_rows.append(_aggregate_record(method, metrics.aggregate(group)))
-    return topic_rows, agg_rows, outcome_rows
+    return topic_rows, agg_rows
 
 
 def _write_metrics_outputs(
     args: argparse.Namespace,
     topic_rows: list[dict],
     agg_rows: list[dict],
-    extra_topic_columns: list[str] | None = None,
-    agg_key_columns: list[str] | None = None,
 ) -> None:
     # e.g. RE = |recall - target| / target overflows at a subnormal target
     if not all(
@@ -383,31 +367,15 @@ def _write_metrics_outputs(
         if isinstance(v, float)
     ):
         raise TarStopError("a metric is not finite; is --target-recall too small?")
-    keys = agg_key_columns or ["method"]
-    agg_columns = keys + [
-        "topics", "reliability",
-        "recall_mean", "recall_std", "cost_mean", "cost_std",
-        "RE_mean", "RE_std", "loss_r_mean", "loss_r_std",
-        "loss_e_mean", "loss_e_std", "loss_er_mean", "loss_er_std",
-    ]
-    if "pareto" in (agg_rows[0] if agg_rows else {}):
-        agg_columns.append("pareto")
-    topic_columns = METRIC_COLUMNS + (extra_topic_columns or [])
-    if agg_key_columns:
-        topic_columns = agg_key_columns + [
-            c for c in topic_columns if c not in ("method",)
-        ]
     if args.format == "json":
         payload = {"aggregates": agg_rows, "topics": topic_rows}
         _emit(_json_text(payload), args.output)
     else:
-        _emit(_csv_text(topic_rows, topic_columns), args.output)
+        _emit(_csv_text(topic_rows), args.output)
         if args.output is not None:
-            _agg_path(args.output).write_text(
-                _csv_text(agg_rows, agg_columns), encoding="utf-8"
-            )
+            _agg_path(args.output).write_text(_csv_text(agg_rows), encoding="utf-8")
     if args.output is not None:
-        _print_aggregate_table(agg_rows, keys)
+        _print_aggregate_table(agg_rows)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -418,11 +386,12 @@ def _cmd_stop(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     outcomes = [stopping.run_stopping(topic, config) for topic in topics]
     outcomes.sort(key=lambda o: o.topic_id)
-    records = [_outcome_record(o, with_traces=args.trace) for o in outcomes]
-    if args.format == "json":
+    as_json = args.format == "json"
+    records = [_outcome_record(o, with_traces=args.trace and as_json) for o in outcomes]
+    if as_json:
         _emit(_json_text({"method": config.process.value, "outcomes": records}), args.output)
     else:
-        _emit(_csv_text(records, OUTCOME_COLUMNS), args.output)
+        _emit(_csv_text(records), args.output)
     return 0
 
 
@@ -514,7 +483,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if "oracle" not in methods:  # the oracle anchors every comparison
         methods.append("oracle")
     topics = _load_topics(args.run, args.qrels)
-    topic_rows, agg_rows, _ = _compare_over_topics(topics, methods, args)
+    topic_rows, agg_rows = _compare_over_topics(topics, methods, args)
     _write_metrics_outputs(args, topic_rows, agg_rows)
     return 0
 
@@ -595,15 +564,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for proc, rate, thr, mr, level, conf in combos
     ]
 
-    per_topic = []
-    for topic in topics:
-        memo = {}  # every combination with the same rate reads the same fits
-        per_topic.append([
+    per_topic = [
+        [
             metrics.topic_metrics(
-                stopping.run_stopping(topic, config, memo), topic, config.target_recall
+                stopping.run_stopping(topic, config), topic, config.target_recall
             )
             for config in configs
-        ])
+        ]
+        for topic in topics
+    ]
 
     combo_keys = ["process", "rate", "nrmse_threshold", "min_rel", "target_recall", "confidence"]
     topic_rows = []
@@ -622,7 +591,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _mark_pareto(agg_rows)
     topic_rows.sort(key=lambda r: tuple(str(r[k]) for k in combo_keys + ["topic"]))
     agg_rows.sort(key=lambda r: tuple(str(r[k]) for k in combo_keys))
-    _write_metrics_outputs(args, topic_rows, agg_rows, agg_key_columns=combo_keys)
+    _write_metrics_outputs(args, topic_rows, agg_rows)
     return 0
 
 
@@ -696,10 +665,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         seen.add(topic.topic_id)
     effectiveness = {t.topic_id: metrics.ranking_effectiveness(t) for t in topics}
-    topic_rows, agg_rows, _ = _compare_over_topics(topics, methods, args)
+    topic_rows, agg_rows = _compare_over_topics(topics, methods, args)
     for row in topic_rows:
         row["norm_area"] = effectiveness[row["topic"]]
-    _write_metrics_outputs(args, topic_rows, agg_rows, extra_topic_columns=["norm_area"])
+    _write_metrics_outputs(args, topic_rows, agg_rows)
     return 0
 
 

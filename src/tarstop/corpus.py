@@ -15,7 +15,7 @@ standard pooling assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +28,9 @@ from .errors import (
 )
 
 SYNTHETIC_KINDS = ("exponential", "hyperbolic", "power", "ap_prior", "uniform")
+# Largest synthetic topic: generation peaks at about 24 bytes per document
+# (23 MiB measured at n = 1,000,000), so about 0.25 GiB at this size.
+MAX_SYNTHETIC_N = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,21 @@ class RunRanking:
 
 @dataclass(frozen=True)
 class RankedTopic:
-    """One topic's ranking joined with binary labels, indexed by rank."""
+    """One topic's ranking joined with binary labels, indexed by rank.
+
+    The topic also caches the rate curves fitted to its screened prefixes
+    (see ``stopping.run_stopping``), so every run over it fits each
+    checkpoint once.
+    """
 
     topic_id: str
     labels: np.ndarray  # bool, shape (n,); labels[r-1] is the label at rank r
+    # (rate kind, window size, checkpoint) -> fitted curve, or the error raised
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=bool).copy()
-        labels.flags.writeable = False  # a topic's memoized fits assume fixed labels
+        labels.flags.writeable = False  # the cached fits assume fixed labels
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.size < 1:
             raise ValidationError(
@@ -99,6 +109,7 @@ class SyntheticSpec:
     ``params`` supplies its a/b/c values (``uniform`` uses only ``a``,
     ``ap_prior`` uses ``a`` with the normalizer taken over ``n``).
     ``noise`` flips each label independently with the given probability.
+    ``n`` must lie in [1, MAX_SYNTHETIC_N].
     """
 
     n: int
@@ -109,8 +120,10 @@ class SyntheticSpec:
     topic_id: str = ""
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"synthetic n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_SYNTHETIC_N:
+            raise ValidationError(
+                f"synthetic n must be in [1, {MAX_SYNTHETIC_N}], got {self.n}"
+            )
         if self.kind not in SYNTHETIC_KINDS:
             raise ValidationError(
                 f"unknown synthetic kind {self.kind!r}; expected one of {SYNTHETIC_KINDS}"

@@ -125,6 +125,11 @@ def estimate_remaining_ip(
     return RemainingEstimate((i, j), mass, poisson_quantile(mass, p), p)
 
 
+# Largest Cox grid: a three-parameter grid of 161**3 points stays within the
+# 2**22 elements the count estimator allows its arrays.
+MAX_COX_GRID = 161
+
+
 def _param_grids(
     curve: RateCurve, grid: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -167,8 +172,10 @@ def estimate_remaining_cox(
     uncertainty model. Zero variances reproduce the fixed-mean result
     exactly.
     """
-    if grid < 3 or grid % 2 == 0:
-        raise ValidationError(f"grid must be an odd integer >= 3, got {grid}")
+    if not (3 <= grid <= MAX_COX_GRID and grid % 2 == 1):
+        raise ValidationError(
+            f"grid must be an odd integer in [3, {MAX_COX_GRID}], got {grid}"
+        )
     _check_interval(i, j)
 
     variances = curve.param_variance

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .corpus import RankedTopic
 from .errors import ConfigError, TarStopError
 from .estimates import (
+    MAX_COX_GRID,
     ProcessKind,
     RemainingEstimate,
     estimate_remaining_cox,
@@ -73,6 +74,10 @@ class Gate(enum.Enum):
 
 @dataclass(frozen=True)
 class StoppingConfig:
+    """Tuned defaults: fixed-mean process, hyperbolic rate, NRMSE gate 0.1,
+    relaxing minimum-relevant rule, 2.5% initial sample and increments,
+    confidence 0.95."""
+
     target_recall: float = 0.9
     confidence: float = 0.95
     alpha: float = 0.025  # initial screened fraction
@@ -84,11 +89,6 @@ class StoppingConfig:
     window_size: int = 25
     batch_schedule: BatchSchedule = BatchSchedule.UNIFORM_FRACTION
     cox_grid: int = 9
-    # Stop once target_recall * estimate is strictly below the found count,
-    # mirroring the looser pseudocode comparison instead of the ceiling rule.
-    pseudocode_stop_rule: bool = False
-    # Use the distribution mean instead of its confidence upper bound.
-    use_mean_estimate: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.target_recall <= 1.0:
@@ -103,19 +103,11 @@ class StoppingConfig:
             raise ConfigError(f"nrmse_threshold must be > 0, got {self.nrmse_threshold}")
         if self.window_size < 1:
             raise ConfigError(f"window_size must be >= 1, got {self.window_size}")
-        # a three-parameter grid of 161**3 points stays within the 2**22
-        # elements the count estimator allows its arrays
-        if not (3 <= self.cox_grid <= 161 and self.cox_grid % 2 == 1):
+        if not (3 <= self.cox_grid <= MAX_COX_GRID and self.cox_grid % 2 == 1):
             raise ConfigError(
-                f"cox_grid must be an odd integer in [3, 161], got {self.cox_grid}"
+                f"cox_grid must be an odd integer in [3, {MAX_COX_GRID}], "
+                f"got {self.cox_grid}"
             )
-
-
-def default_config() -> StoppingConfig:
-    """Tuned defaults: fixed-mean process, hyperbolic rate, NRMSE gate 0.1,
-    relaxing minimum-relevant rule, 2.5% initial sample and increments,
-    confidence 0.95."""
-    return StoppingConfig()
 
 
 @dataclass(frozen=True)
@@ -170,49 +162,37 @@ def checkpoints(n: int, config: StoppingConfig) -> list[int]:
     return points
 
 
-def stop_decision(
-    rel_found: int, total_estimate: float, target_recall: float,
-    pseudocode_rule: bool = False,
-) -> bool:
+def stop_decision(rel_found: int, total_estimate: float, target_recall: float) -> bool:
     """Has screening found the target share of the estimated total?
 
-    Default rule: found >= ceil(target * estimate). The pseudocode
-    variant instead requires target * estimate to fall strictly below
-    the found count.
+    The rule is found >= ceil(target * estimate).
     """
-    required = _snap(target_recall * total_estimate)
-    if pseudocode_rule:
-        return required < rel_found
-    return rel_found >= math.ceil(required)
+    return rel_found >= math.ceil(_snap(target_recall * total_estimate))
 
 
-# Fits of one topic keyed by (rate kind, window size, checkpoint): the fitted
-# curve, or the error that windowing or fitting raised.
-FitMemo = dict[tuple[RateKind, int, int], "RateCurve | TarStopError"]
-
-
-def _fit_at(topic: RankedTopic, config: StoppingConfig, k: int, memo: FitMemo):
+def _fit_at(topic: RankedTopic, config: StoppingConfig, k: int):
     # The curve at k depends only on labels[:k], the rate family, the window
     # and n, so every process and policy screening this topic can share it.
+    fits = topic._fits
     key = (config.rate_kind, config.window_size, k)
-    if key not in memo:
+    if key not in fits:
         try:
             points = window_estimates(topic.labels[:k], config.window_size)
-            memo[key] = fit_rate(points, config.rate_kind, topic.n)
+            fits[key] = fit_rate(points, config.rate_kind, topic.n)
         except TarStopError as exc:
             # drop the traceback: its frames hold the windowed prefix arrays
-            memo[key] = exc.with_traceback(None)
-    return memo[key]
+            fits[key] = exc.with_traceback(None)
+    return fits[key]
 
 
 def _evaluate_checkpoint(
-    topic: RankedTopic, config: StoppingConfig, k: int, memo: FitMemo
+    topic: RankedTopic, config: StoppingConfig, k: int
 ) -> IterationTrace:
     rel = topic.relevant_in_prefix(k)
     if not config.min_rel_rule.passes(rel, k, topic.n):
         return IterationTrace(k, rel, Gate.TOO_FEW_RELEVANT)
 
-    curve = _fit_at(topic, config, k, memo)
+    curve = _fit_at(topic, config, k)
     if isinstance(curve, TarStopError):
         return IterationTrace(k, rel, Gate.FIT_FAILED)
 
@@ -230,29 +210,24 @@ def _evaluate_checkpoint(
         # a curve the estimator cannot use counts as a failed fit
         return IterationTrace(k, rel, Gate.FIT_FAILED, curve=curve)
 
-    remaining = estimate.lambda_mass if config.use_mean_estimate else estimate.upper_bound
-    total = rel + remaining
-    stop = stop_decision(rel, total, config.target_recall, config.pseudocode_stop_rule)
+    total = rel + estimate.upper_bound
+    stop = stop_decision(rel, total, config.target_recall)
     return IterationTrace(
         k, rel, Gate.EVALUATED, curve=curve, estimate=estimate,
         total_estimate=float(total), stop_decision=stop,
     )
 
 
-def run_stopping(
-    topic: RankedTopic, config: StoppingConfig, memo: FitMemo | None = None
-) -> StoppingOutcome:
+def run_stopping(topic: RankedTopic, config: StoppingConfig) -> StoppingOutcome:
     """Run the screening loop over one topic and report where it stopped.
 
-    Pass the same ``memo`` (initially ``{}``) to every run over this topic
-    to fit each checkpoint's curve once; it must never hold another
-    topic's fits.
+    Each checkpoint's curve is fitted once per topic: later runs over the
+    same topic, whatever their process or policy, reuse it.
     """
-    memo = {} if memo is None else memo
     method = config.process.value
     traces: list[IterationTrace] = []
     for k in checkpoints(topic.n, config):
-        trace = _evaluate_checkpoint(topic, config, k, memo)
+        trace = _evaluate_checkpoint(topic, config, k)
         traces.append(trace)
         if trace.stop_decision:
             return StoppingOutcome(

@@ -364,13 +364,9 @@ class TestCompareCommand:
 
     def test_unknown_method_exit_2(self, fixture_files, capsys):
         run, qrels = fixture_files
-        assert main(["compare", *flags(run, qrels), "--methods", "ip,scal"]) == 2
-        assert "valid methods" in capsys.readouterr().err
-
-    def test_qbcb_reported_unavailable(self, fixture_files, capsys):
-        run, qrels = fixture_files
-        assert main(["compare", *flags(run, qrels), "--methods", "qbcb"]) == 2
-        assert "unavailable" in capsys.readouterr().err
+        for methods in ("ip,scal", "qbcb"):
+            assert main(["compare", *flags(run, qrels), "--methods", methods]) == 2
+            assert "valid methods" in capsys.readouterr().err
 
     def test_adapted_target_uses_formula_size(self, fixture_files, tmp_path, capsys):
         # at recall 0.9 / confidence 0.95 the sample must hold 30 relevant;
@@ -508,6 +504,12 @@ class TestSimulateCommand:
           "noise": "0.1"}, "'noise'"),
         ({"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": 1,
           "topic_id": 7}, "'topic_id'"),
+        # past the synthetic size cap: numpy would need 72.8 TiB, or an
+        # array dimension beyond its maximum
+        ({"n": 10_000_000_000_000, "kind": "uniform", "params": {"a": 0.1}, "seed": 1},
+         "synthetic n"),
+        ({"n": 2 ** 63, "kind": "uniform", "params": {"a": 0.1}, "seed": 1},
+         "synthetic n"),
     ])
     def test_invalid_field_exit_2(self, tmp_path, capsys, entry, named):
         path = tmp_path / "bad.json"

@@ -201,6 +201,9 @@ class TestEstimateRemainingCox:
             estimate_remaining_cox(curve, 1, 100, 0.95, grid=8)
         with pytest.raises(ValidationError):
             estimate_remaining_cox(curve, 1, 100, 0.95, grid=1)
+        # past the memory bound StoppingConfig.cox_grid shares
+        with pytest.raises(ValidationError):
+            estimate_remaining_cox(curve, 1, 100, 0.95, grid=163)
 
     def test_all_grid_points_invalid(self):
         # b centred far above zero with tiny spread: every point violates b <= 0

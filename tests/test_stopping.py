@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tarstop.corpus import SyntheticSpec, generate_synthetic
+from tarstop import stopping
+from tarstop.corpus import RankedTopic, SyntheticSpec, generate_synthetic
 from tarstop.errors import ConfigError, TarStopError
 from tarstop.estimates import ProcessKind
-from tarstop.rates import RateKind
+from tarstop.rates import RateKind, fit_rate
 from tarstop.stopping import (
     BatchSchedule,
     DynamicMinRel,
@@ -16,7 +17,6 @@ from tarstop.stopping import (
     StaticMinRel,
     StoppingConfig,
     checkpoints,
-    default_config,
     run_stopping,
     stop_decision,
 )
@@ -32,7 +32,7 @@ def exp_topic(seed=42, n=5000, a=0.5, b=-0.01):
 
 class TestDefaults:
     def test_tuned_values(self):
-        cfg = default_config()
+        cfg = StoppingConfig()
         assert cfg.alpha == 0.025
         assert cfg.beta == 0.025
         assert cfg.nrmse_threshold == 0.1
@@ -114,7 +114,7 @@ class TestCheckpoints:
 class TestGates:
     def test_no_relevant_runs_to_end(self):
         topic = topic_from_labels([0] * 2000)
-        out = run_stopping(topic, default_config())
+        out = run_stopping(topic, StoppingConfig())
         assert out.hit_end
         assert out.stop_rank == 2000
         assert out.rel_found == 0
@@ -192,26 +192,6 @@ class TestStopRule:
         assert final.estimate.upper_bound == 0
         assert out.rel_found == final.total_estimate == 30
 
-    def test_pseudocode_variant_is_stricter_at_equality(self):
-        # with target 1.0 the strict form l*R < rel never passes when R == rel
-        labels = [1] * 30 + [0] * 2970
-        topic = topic_from_labels(labels)
-        base = dict(
-            target_recall=1.0, rate_kind=RateKind.EXPONENTIAL,
-            min_rel_rule=StaticMinRel(10), nrmse_threshold=0.3,
-        )
-        ceiling = run_stopping(topic, StoppingConfig(**base))
-        strict = run_stopping(topic, StoppingConfig(pseudocode_stop_rule=True, **base))
-        assert not ceiling.hit_end
-        assert strict.hit_end
-
-    def test_mean_estimate_stops_no_later(self):
-        topic = exp_topic(seed=13)
-        base = dict(target_recall=0.9, rate_kind=RateKind.EXPONENTIAL)
-        upper = run_stopping(topic, StoppingConfig(**base))
-        mean = run_stopping(topic, StoppingConfig(use_mean_estimate=True, **base))
-        assert mean.stop_rank <= upper.stop_rank
-
     def test_ceiling_robust_to_float_noise(self):
         # 0.07 * 100 = 7.000000000000001 in floats; exact arithmetic says
         # 7 found of an estimated 100 meets a 0.07 target
@@ -284,7 +264,7 @@ class TestOutcomeShape:
 
     def test_small_collection_exhausts(self):
         topic = topic_from_labels([1, 0, 1])
-        out = run_stopping(topic, default_config())
+        out = run_stopping(topic, StoppingConfig())
         assert out.hit_end and out.stop_rank == 3 and out.rel_found == 2
 
     def test_autotar_schedule_runs(self):
@@ -355,8 +335,28 @@ class TestFitMemo:
             for window in (10, 20)
         ]
         for topic in topics:
-            memo = {}
             for cfg in configs:
-                assert run_stopping(topic, cfg, memo) == run_stopping(topic, cfg)
-            assert {key[0] for key in memo} == set(RateKind)
-        assert all(isinstance(fit, TarStopError) for fit in memo.values())
+                fresh = RankedTopic(topic.topic_id, topic.labels)
+                assert run_stopping(topic, cfg) == run_stopping(fresh, cfg)
+            assert {key[0] for key in topic._fits} == set(RateKind)
+        assert all(isinstance(fit, TarStopError) for fit in topic._fits.values())
+
+    def test_second_run_fits_nothing(self, monkeypatch):
+        topic = exp_topic(seed=31, n=800, a=0.4, b=-0.008)
+        cfg = StoppingConfig(rate_kind=RateKind.EXPONENTIAL, alpha=0.1, beta=0.1)
+        first = run_stopping(topic, cfg)
+        calls = []
+
+        def counting_fit(*args):
+            calls.append(args)
+            return fit_rate(*args)
+
+        monkeypatch.setattr(stopping, "fit_rate", counting_fit)
+        cox = StoppingConfig(
+            rate_kind=RateKind.EXPONENTIAL, alpha=0.1, beta=0.1, process=ProcessKind.COX
+        )
+        assert run_stopping(topic, cfg) == first
+        run_stopping(topic, cox)
+        assert calls == []
+        run_stopping(RankedTopic(topic.topic_id, topic.labels), cfg)
+        assert calls  # a new topic fits afresh
