@@ -65,19 +65,20 @@ class RunRanking:
         return sorted(self.topics)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedTopic:
     """One topic's ranking joined with binary labels, indexed by rank.
 
     The topic also caches the rate curves fitted to its screened prefixes
     (see ``stopping.run_stopping``), so every run over it fits each
-    checkpoint once.
+    checkpoint once. Since each topic owns its cache, topics compare and
+    hash by identity: two topics with equal labels are distinct.
     """
 
     topic_id: str
     labels: np.ndarray  # bool, shape (n,); labels[r-1] is the label at rank r
     # (rate kind, window size, checkpoint) -> fitted curve, or the error raised
-    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fits: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=bool).copy()

@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegenerateDistributionError, ValidationError
 from .rates import RateCurve, RateKind, RateParams, rate_integral
+from .special import log_factorials, log_gamma
 
 
 class ProcessKind(enum.Enum):
@@ -51,7 +51,7 @@ def poisson_pmf(mean: float, m: int) -> float:
         raise ValueError(f"count must be >= 0, got {m}")
     if mean == 0.0:
         return 1.0 if m == 0 else 0.0
-    return math.exp(-mean + m * math.log(mean) - float(gammaln(m + 1)))
+    return math.exp(-mean + m * math.log(mean) - log_gamma(m + 1))
 
 
 # Longest count array a quantile search may allocate (32 MiB of float64).
@@ -85,13 +85,13 @@ def _mixture_quantile(masses: np.ndarray, weights: np.ndarray, p: float) -> int:
     cap = _summation_cap(float(masses.max()))
     while True:
         counts = np.arange(cap + 1, dtype=float)
-        log_factorials = gammaln(counts + 1)
+        log_fact = log_factorials(cap + 1)
         mixture = np.zeros(counts.size)
         for w, mass in zip(weights.tolist(), masses.tolist()):
             if mass == 0.0:
                 mixture[0] += w
             else:
-                mixture += w * np.exp(-mass + counts * math.log(mass) - log_factorials)
+                mixture += w * np.exp(-mass + counts * math.log(mass) - log_fact)
         cdf = np.cumsum(mixture)
         if cdf[-1] >= p:
             return int(np.searchsorted(cdf, p, side="left"))

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import expit, gammaln
 
 from .errors import (
     DegenerateDataError,
@@ -34,6 +32,7 @@ from .errors import (
     UndefinedRangeError,
     ValidationError,
 )
+from .special import expit, log_gamma
 
 # Branch guards for the singular closed-form cases.
 _HYP_B_ZERO = 1e-9
@@ -148,7 +147,7 @@ class WindowedEstimates:
 
 def _ap_normalizer(n_total: int) -> float:
     # n*log(n) - log(n!) via log-gamma, safe for very large n.
-    return n_total * math.log(n_total) - float(gammaln(n_total + 1))
+    return n_total * math.log(n_total) - log_gamma(n_total + 1)
 
 
 def rate_value(params: RateParams, x) -> np.ndarray | float:
@@ -282,9 +281,9 @@ _T_CLIP = 50.0  # keeps exp() finite when the minimizer probes extreme steps
 
 
 def _natural(kind: RateKind, t: np.ndarray) -> tuple[float, ...]:
-    t = np.clip(t, -_T_CLIP, _T_CLIP)
+    t = [min(max(v, -_T_CLIP), _T_CLIP) for v in t.tolist()]
     if kind is RateKind.HYPERBOLIC:
-        b = float(np.clip(expit(t[1]), _SIG_CLIP, 1.0 - _SIG_CLIP))
+        b = min(max(expit(t[1]), _SIG_CLIP), 1.0 - _SIG_CLIP)
         return (math.exp(t[0]), b, math.exp(t[2]))
     if kind is RateKind.AP_PRIOR:
         return (math.exp(t[0]),)
@@ -299,6 +298,42 @@ def _natural_jacobian(kind: RateKind, nat: tuple[float, ...]) -> np.ndarray:
         return np.array([nat[0]])
     a, b = nat
     return np.array([a, b])  # d(-exp(v))/dv = b; squared below anyway
+
+
+def _rate_jacobian(
+    kind: RateKind, t: np.ndarray, nat: tuple[float, ...], f: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """d rate(x) / d t for the rate values f at transformed parameters t
+    (natural values nat), one column per parameter. A coordinate that
+    ``_natural`` clips does not move the rate, so its column is zero.
+
+    Below ``_HYP_B_ZERO`` the hyperbolic rate is evaluated at its b -> 0
+    limit, a * exp(-c x), but its slope in b is that limit's, c^2 x^2 / 2
+    in log space, not zero: a zero column would make J^T J singular and
+    leave every parameter of such a fit without a variance."""
+    if kind is RateKind.AP_PRIOR:
+        cols = [f]
+    elif kind is RateKind.EXPONENTIAL:
+        cols = [f, f * (nat[1] * x)]
+    elif kind is RateKind.POWER_LAW:
+        cols = [f, f * (nat[1] * np.log(x))]
+    else:
+        _a, b, c = nat
+        cx = c * x
+        if b < _HYP_B_ZERO:
+            dlog_b = 0.5 * cx * cx
+            dc = -cx
+        else:
+            bcx1 = 1.0 + b * cx
+            dlog_b = np.log1p(b * cx) / (b * b) - cx / (b * bcx1)
+            dc = -cx / bcx1
+        db = dlog_b * (b * (1.0 - b))
+        if b in (_SIG_CLIP, 1.0 - _SIG_CLIP):
+            db = np.zeros_like(x)
+        cols = [f, f * db, f * dc]
+    jac = np.stack(cols, axis=1)
+    jac[:, np.abs(t) > _T_CLIP] = 0.0
+    return jac
 
 
 def _decay_slope(x: np.ndarray, logy: np.ndarray) -> float:
@@ -326,13 +361,333 @@ def _initial_guess(points: WindowedEstimates, kind: RateKind, n_total: int) -> n
     return np.array([math.log(max(a_star, 1e-12))])
 
 
+def _fit_problem(points: WindowedEstimates, kind: RateKind, n_total: int):
+    """Residual and Jacobian functions of the transformed parameters, and
+    the starting point, for fitting ``kind`` to ``points``."""
+    x, y = points.x, points.y
+
+    def rate(t: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
+        nat = _natural(kind, t)
+        return nat, np.asarray(rate_value(RateParams.from_values(kind, nat, n_total), x))
+
+    def residual(t: np.ndarray) -> np.ndarray:
+        return rate(t)[1] - y
+
+    def jacobian(t: np.ndarray) -> np.ndarray:
+        nat, f = rate(t)
+        return _rate_jacobian(kind, t, nat, f, x)
+
+    return residual, jacobian, _initial_guess(points, kind, n_total)
+
+
+# --- Levenberg-Marquardt ---------------------------------------------------
+#
+# A port of MINPACK's lmder (More, "The Levenberg-Marquardt algorithm:
+# implementation and theory", 1978) in its mode 1: variables scaled by the
+# running maximum of the Jacobian's column norms, initial step bound
+# factor * |D t0| with factor = 100, and ftol = xtol = gtol = 1e-8. Every
+# sum runs in MINPACK's order, left to right, so the fit does not depend on
+# the BLAS or on the Python version. With at most three parameters the
+# n-sized work is plain Python; only the m-sized work is numpy.
+
+_LM_TOL = 1e-8
+_LM_FACTOR = 100.0
+_EPS = float(np.finfo(float).eps)
+_DWARF = float(np.finfo(float).tiny)
+_RDWARF = 3.834e-20  # enorm's bounds for squaring without under- or overflow
+_RGIANT = 1.304e19
+
+
+def _dot(u, v) -> float:
+    """Left-to-right sum of u[i] * v[i]."""
+    if isinstance(u, np.ndarray):
+        return float((u * v).cumsum()[-1])
+    s = 0.0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def _enorm(v) -> float:
+    """MINPACK's Euclidean norm: a plain sum of squares for moderate
+    components, rescaled sums for tiny and huge ones."""
+    agiant = _RGIANT / len(v)
+    if isinstance(v, np.ndarray):
+        sq = v * v
+        # squaring rounds monotonically, so these bounds on the squares
+        # put every component strictly inside (_RDWARF, agiant)
+        if sq.min() > _RDWARF * _RDWARF and sq.max() < agiant * agiant:
+            return math.sqrt(sq.cumsum()[-1])
+        v = v.tolist()
+    s1 = s2 = s3 = x1max = x3max = 0.0
+    for xabs in map(abs, v):
+        if _RDWARF < xabs < agiant:
+            s2 += xabs * xabs
+        elif xabs > _RDWARF:
+            if xabs > x1max:
+                s1 = 1.0 + s1 * (x1max / xabs) * (x1max / xabs)
+                x1max = xabs
+            else:
+                s1 += (xabs / x1max) * (xabs / x1max)
+        elif xabs > x3max:
+            s3 = 1.0 + s3 * (x3max / xabs) * (x3max / xabs)
+            x3max = xabs
+        elif xabs != 0.0:
+            s3 += (xabs / x3max) * (xabs / x3max)
+    if s1 != 0.0:
+        return x1max * math.sqrt(s1 + (s2 / x1max) / x1max)
+    if s2 != 0.0:
+        if s2 >= x3max:
+            return math.sqrt(s2 * (1.0 + (x3max / s2) * (x3max * s3)))
+        return math.sqrt(x3max * ((s2 / x3max) + (x3max * s3)))
+    return x3max * math.sqrt(s3)
+
+
+def _qrfac(a: np.ndarray) -> tuple[list[int], list[float], list[float]]:
+    """Householder QR with column pivoting of the (m, n) matrix a.T, in place
+    on a's rows. Returns the pivot order, R's diagonal and a's row norms."""
+    n = a.shape[0]
+    acnorm = [_enorm(row) for row in a]
+    rdiag = list(acnorm)
+    wa = list(acnorm)
+    ipvt = list(range(n))
+    for j in range(n):
+        kmax = j
+        for k in range(j, n):
+            if rdiag[k] > rdiag[kmax]:
+                kmax = k
+        if kmax != j:
+            a[[j, kmax]] = a[[kmax, j]]
+            rdiag[kmax], wa[kmax] = rdiag[j], wa[j]
+            ipvt[j], ipvt[kmax] = ipvt[kmax], ipvt[j]
+        ajnorm = _enorm(a[j, j:])
+        if ajnorm != 0.0:
+            if a[j, j] < 0.0:
+                ajnorm = -ajnorm
+            a[j, j:] /= ajnorm
+            a[j, j] += 1.0
+            for k in range(j + 1, n):
+                temp = _dot(a[j, j:], a[k, j:]) / a[j, j]
+                a[k, j:] -= temp * a[j, j:]
+                if rdiag[k] != 0.0:
+                    temp = a[k, j] / rdiag[k]
+                    rdiag[k] *= math.sqrt(max(0.0, 1.0 - temp * temp))
+                    if 0.05 * (rdiag[k] / wa[k]) * (rdiag[k] / wa[k]) <= _EPS:
+                        rdiag[k] = wa[k] = _enorm(a[k, j + 1:])
+        rdiag[j] = -ajnorm
+    return ipvt, rdiag, acnorm
+
+
+def _qrsolv(r: list[list[float]], ipvt: list[int], diag: list[float], qtb: list[float]):
+    """Least-squares solution of [R P^T; D] x = [Q^T b; 0] by Givens rotations.
+    Leaves the rotated triangle S transposed in r's strict lower part and
+    returns x with S's diagonal."""
+    n = len(diag)
+    x = [0.0] * n
+    wa = list(qtb)
+    for j in range(n):
+        for i in range(j, n):
+            r[i][j] = r[j][i]
+        x[j] = r[j][j]
+    sdiag = [0.0] * n
+    for j in range(n):
+        if diag[ipvt[j]] != 0.0:
+            sdiag[j:] = [0.0] * (n - j)
+            sdiag[j] = diag[ipvt[j]]
+            qtbpj = 0.0
+            for k in range(j, n):
+                if sdiag[k] == 0.0:
+                    continue
+                if abs(r[k][k]) < abs(sdiag[k]):
+                    cotan = r[k][k] / sdiag[k]
+                    sin = 0.5 / math.sqrt(0.25 + 0.25 * cotan * cotan)
+                    cos = sin * cotan
+                else:
+                    tan = sdiag[k] / r[k][k]
+                    cos = 0.5 / math.sqrt(0.25 + 0.25 * tan * tan)
+                    sin = cos * tan
+                r[k][k] = cos * r[k][k] + sin * sdiag[k]
+                wa[k], qtbpj = cos * wa[k] + sin * qtbpj, -sin * wa[k] + cos * qtbpj
+                for i in range(k + 1, n):
+                    r[i][k], sdiag[i] = (
+                        cos * r[i][k] + sin * sdiag[i], -sin * r[i][k] + cos * sdiag[i]
+                    )
+        sdiag[j] = r[j][j]
+        r[j][j] = x[j]
+    nsing = next((j for j in range(n) if sdiag[j] == 0.0), n)
+    wa[nsing:] = [0.0] * (n - nsing)
+    for j in reversed(range(nsing)):
+        s = _dot([r[i][j] for i in range(j + 1, nsing)], wa[j + 1:nsing])
+        wa[j] = (wa[j] - s) / sdiag[j]
+    for j in range(n):
+        x[ipvt[j]] = wa[j]
+    return x, sdiag
+
+
+def _lmpar(r, ipvt, diag, qtb, delta: float, par: float) -> tuple[float, list[float]]:
+    """More's search for the damping par whose step x has |D x| close to
+    delta. Returns (par, x); par is 0 when the Gauss-Newton step fits."""
+    n = len(diag)
+    nsing = next((j for j in range(n) if r[j][j] == 0.0), n)
+    wa1 = list(qtb[:nsing]) + [0.0] * (n - nsing)
+    for j in reversed(range(nsing)):
+        wa1[j] /= r[j][j]
+        for i in range(j):
+            wa1[i] -= r[i][j] * wa1[j]
+    x = [0.0] * n
+    for j in range(n):
+        x[ipvt[j]] = wa1[j]
+    wa2 = [d * xj for d, xj in zip(diag, x)]
+    dxnorm = _enorm(wa2)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, x
+    # the Newton step gives a lower bound parl unless R is singular
+    parl = 0.0
+    if nsing == n:
+        wa1 = [diag[l] * (wa2[l] / dxnorm) for l in ipvt]
+        for j in range(n):
+            s = _dot([r[i][j] for i in range(j)], wa1[:j])
+            wa1[j] = (wa1[j] - s) / r[j][j]
+        temp = _enorm(wa1)
+        parl = ((fp / delta) / temp) / temp
+    wa1 = [_dot([r[i][j] for i in range(j + 1)], qtb) / diag[ipvt[j]] for j in range(n)]
+    gnorm = _enorm(wa1)
+    paru = gnorm / delta
+    if paru == 0.0:
+        paru = _DWARF / min(delta, 0.1)
+    par = min(max(par, parl), paru)
+    if par == 0.0:
+        par = gnorm / dxnorm
+    for iteration in range(1, 11):
+        if par == 0.0:
+            par = max(_DWARF, 0.001 * paru)
+        root = math.sqrt(par)
+        x, sdiag = _qrsolv(r, ipvt, [root * d for d in diag], qtb)
+        wa2 = [d * xj for d, xj in zip(diag, x)]
+        dxnorm = _enorm(wa2)
+        previous, fp = fp, dxnorm - delta
+        if (
+            abs(fp) <= 0.1 * delta
+            or (parl == 0.0 and fp <= previous and previous < 0.0)
+            or iteration == 10
+        ):
+            break
+        # Newton correction
+        wa1 = [diag[l] * (wa2[l] / dxnorm) for l in ipvt]
+        for j in range(n):
+            wa1[j] /= sdiag[j]
+            for i in range(j + 1, n):
+                wa1[i] -= r[i][j] * wa1[j]
+        temp = _enorm(wa1)
+        parc = ((fp / delta) / temp) / temp
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return par, x
+
+
+def _levenberg_marquardt(residual, jacobian, t0: np.ndarray, max_nfev: int):
+    """Minimize |residual(t)|^2 from t0 (MINPACK lmder, see above).
+
+    Returns the solution and its residual vector. Raises FitFailureError
+    when max_nfev residual evaluations pass without convergence.
+    """
+    n = t0.size
+    t = np.array(t0, dtype=float)
+    fvec = residual(t)
+    nfev = 1
+    fnorm = _enorm(fvec)
+    par = 0.0
+    first = True
+    while True:
+        a = np.array(jacobian(t).T)  # row j holds the Jacobian's column j
+        ipvt, rdiag, acnorm = _qrfac(a)
+        if first:
+            diag = [c if c != 0.0 else 1.0 for c in acnorm]
+            xnorm = _enorm([d * v for d, v in zip(diag, t.tolist())])
+            delta = _LM_FACTOR * xnorm if xnorm != 0.0 else _LM_FACTOR
+        # Q^T fvec, and R into an n x n list with its diagonal restored
+        wa4 = fvec.copy()
+        qtf = []
+        for j in range(n):
+            if a[j, j] != 0.0:
+                temp = -_dot(a[j, j:], wa4[j:]) / a[j, j]
+                wa4[j:] += a[j, j:] * temp
+            a[j, j] = rdiag[j]
+            qtf.append(float(wa4[j]))
+        r = a[:, :n].T.tolist()
+        # scaled gradient norm
+        gnorm = 0.0
+        if fnorm != 0.0:
+            for j in range(n):
+                l = ipvt[j]
+                if acnorm[l] != 0.0:
+                    s = _dot([r[i][j] for i in range(j + 1)], [q / fnorm for q in qtf])
+                    gnorm = max(gnorm, abs(s / acnorm[l]))
+        if gnorm <= _LM_TOL:
+            return t, fvec
+        diag = [max(d, c) for d, c in zip(diag, acnorm)]
+        while True:
+            par, step = _lmpar(r, ipvt, diag, qtf, delta, par)
+            step = [-v for v in step]
+            t_new = t + step
+            pnorm = _enorm([d * v for d, v in zip(diag, step)])
+            if first:
+                delta = min(delta, pnorm)
+            f_new = residual(t_new)
+            nfev += 1
+            fnorm1 = _enorm(f_new)
+            actred = -1.0
+            if 0.1 * fnorm1 < fnorm:
+                actred = 1.0 - (fnorm1 / fnorm) * (fnorm1 / fnorm)
+            # predicted reduction and directional derivative, from R P^T step
+            wa3 = [0.0] * n
+            for j in range(n):
+                for i in range(j + 1):
+                    wa3[i] += r[i][j] * step[ipvt[j]]
+            temp1 = _enorm(wa3) / fnorm
+            temp2 = math.sqrt(par) * pnorm / fnorm
+            prered = temp1 * temp1 + temp2 * temp2 / 0.5
+            dirder = -(temp1 * temp1 + temp2 * temp2)
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par *= 0.5
+            if ratio >= 1e-4:
+                t, fvec, fnorm = t_new, f_new, fnorm1
+                xnorm = _enorm([d * v for d, v in zip(diag, t.tolist())])
+                first = False
+            if (
+                abs(actred) <= _LM_TOL and prered <= _LM_TOL and 0.5 * ratio <= 1.0
+            ) or delta <= _LM_TOL * xnorm:
+                return t, fvec
+            if nfev >= max_nfev:
+                raise FitFailureError(
+                    f"Levenberg-Marquardt did not converge in {max_nfev} evaluations"
+                )
+            if ratio >= 1e-4:
+                break
+
+
 def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCurve:
-    """Fit one rate family to windowed observations by damped least squares.
+    """Fit one rate family to windowed observations by damped least squares
+    (Levenberg-Marquardt with analytic Jacobians).
 
     Returns the fitted curve with per-parameter variance estimates taken
     from the diagonal of the residual-scaled inverse approximate Hessian.
     A singular Hessian (or zero residual degrees of freedom) yields
     infinite sentinel variances rather than a fabricated small value.
+    Raises FitFailureError when the fit does not converge within 2000
+    residual evaluations per parameter.
     """
     m = len(points)
     if m < 3:
@@ -340,19 +695,10 @@ def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCur
     if not np.any(points.y > 0):
         raise DegenerateDataError("all window means are zero; nothing to fit")
 
-    x, y = points.x, points.y
+    residual, jacobian, t0 = _fit_problem(points, kind, n_total)
+    t, fvec = _levenberg_marquardt(residual, jacobian, t0, 2000 * t0.size)
 
-    def residual(t: np.ndarray) -> np.ndarray:
-        nat = _natural(kind, t)
-        params = RateParams.from_values(kind, nat, n_total)
-        return np.asarray(rate_value(params, x)) - y
-
-    t0 = _initial_guess(points, kind, n_total)
-    result = least_squares(residual, t0, method="lm", max_nfev=2000 * t0.size)
-    if result.status <= 0:
-        raise FitFailureError(f"least squares did not converge: {result.message}")
-
-    nat = _natural(kind, result.x)
+    nat = _natural(kind, t)
     params = RateParams.from_values(kind, nat, n_total)
 
     n_params = t0.size
@@ -361,8 +707,9 @@ def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCur
     if dof <= 0:
         variances = np.full(n_params, np.inf)
     else:
-        jtj = result.jac.T @ result.jac
-        sigma2 = 2.0 * result.cost / dof
+        jac = jacobian(t)
+        jtj = jac.T @ jac
+        sigma2 = float(fvec @ fvec) / dof
         try:
             cov_t = sigma2 * np.linalg.inv(jtj)
             if not np.all(np.isfinite(cov_t)):
@@ -372,6 +719,6 @@ def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCur
         except np.linalg.LinAlgError:
             variances = np.full(n_params, np.inf)
 
-    preds = np.asarray(rate_value(params, x))
-    fit_nrmse = _nrmse_raw(preds, y)
+    preds = np.asarray(rate_value(params, points.x))
+    fit_nrmse = _nrmse_raw(preds, points.y)
     return RateCurve(params, tuple(float(v) for v in variances), fit_nrmse, m)

@@ -12,6 +12,7 @@ from scipy import stats
 
 from tarstop.cli import main
 from tarstop.corpus import (
+    RankedTopic,
     SyntheticSpec,
     format_run,
     generate_synthetic,
@@ -166,6 +167,22 @@ class TestJoin:
                 "T",
             )
             assert topic.total_relevant == int(topic.labels.sum()) <= topic.n
+
+
+class TestRankedTopicIdentity:
+    def test_equal_labels_are_distinct_topics(self):
+        first = RankedTopic("t", [1, 0, 1])
+        second = RankedTopic("t", [1, 0, 1])
+        assert first == first
+        assert first != second
+        assert hash(first) == hash(first)
+
+    def test_topics_go_in_a_set(self):
+        first = RankedTopic("t", [1, 0, 1])
+        second = RankedTopic("t", [1, 0, 1])
+        topics = {first, second, first}
+        assert len(topics) == 2
+        assert {first: "a", second: "b"}[second] == "b"
 
 
 class TestGenerateSynthetic:

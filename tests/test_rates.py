@@ -1,12 +1,16 @@
 """Rate families: values, closed-form integrals, windows, fitting, NRMSE."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from tarstop import rates
+from tarstop.corpus import SyntheticSpec, generate_synthetic
 from tarstop.errors import (
     DegenerateDataError,
+    FitFailureError,
     InsufficientDataError,
     UndefinedRangeError,
     ValidationError,
@@ -346,3 +350,157 @@ class TestRateParamsValidation:
         p = RateParams(RateKind.EXPONENTIAL, a=0.5, b=-0.01)
         with pytest.raises(ValidationError):
             RateCurve(p, (0.1,), 0.0, 5)
+
+
+def _central_differences(residual, t: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    cols = []
+    for i in range(t.size):
+        step = np.zeros(t.size)
+        step[i] = h
+        cols.append((residual(t + step) - residual(t - step)) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+_JACOBIAN_POINTS = [
+    (RateKind.EXPONENTIAL, [math.log(0.5), math.log(0.01)]),
+    (RateKind.EXPONENTIAL, [math.log(0.3), math.log(1e-4)]),
+    (RateKind.POWER_LAW, [0.0, math.log(1.2)]),
+    (RateKind.POWER_LAW, [math.log(0.4), math.log(0.3)]),
+    (RateKind.AP_PRIOR, [math.log(100.0)]),
+    (RateKind.HYPERBOLIC, [math.log(0.6), 0.0, math.log(0.02)]),  # b = 0.5
+    (RateKind.HYPERBOLIC, [math.log(0.6), 3.0, math.log(0.005)]),
+    # b just above 1e-9, and b near 1: the b column is about 1e-10, so a
+    # wider step keeps the differences above their rounding noise
+    (RateKind.HYPERBOLIC, [math.log(0.6), -20.0, math.log(0.02)], 1e-3),
+    (RateKind.HYPERBOLIC, [math.log(0.6), 20.0, math.log(0.02)], 1e-3),
+    (RateKind.HYPERBOLIC, [math.log(0.6), 27.0, math.log(0.02)], 1e-3),  # next to the clip
+    (RateKind.HYPERBOLIC, [math.log(0.6), 29.0, math.log(0.02)]),  # b clipped
+    (RateKind.EXPONENTIAL, [60.0, math.log(0.01)]),  # a clipped
+]
+
+
+class TestRateJacobian:
+    @pytest.mark.parametrize("point", _JACOBIAN_POINTS)
+    def test_matches_central_differences(self, point):
+        kind, t, *step = point
+        xs = np.arange(13.0, 2000.0, 25.0)
+        pts = WindowedEstimates(xs, np.full(xs.size, 0.1), 25)
+        residual, jacobian, _t0 = rates._fit_problem(pts, kind, 5000)
+        t = np.array(t)
+        jac = jacobian(t)
+        fd = _central_differences(residual, t, *step)
+        assert jac.shape == (xs.size, t.size)
+        for col in range(t.size):
+            scale = max(np.abs(jac[:, col]).max(), np.abs(fd[:, col]).max())
+            assert np.abs(jac[:, col] - fd[:, col]).max() <= 1e-6 * scale + 1e-12, col
+
+    def test_small_b_branch_takes_the_limit_slope(self):
+        # Below b = 1e-9 the rate is evaluated at its b -> 0 limit, so the
+        # residual does not move with b there; the b column is the limit's
+        # slope instead, and it meets the general formula at the guard.
+        xs = np.arange(13.0, 2000.0, 25.0)
+        pts = WindowedEstimates(xs, np.full(xs.size, 0.1), 25)
+        residual, jacobian, _t0 = rates._fit_problem(pts, RateKind.HYPERBOLIC, 5000)
+        per_b = []
+        for b in (0.999e-9, 1.001e-9):
+            t = np.array([math.log(0.6), math.log(b / (1.0 - b)), math.log(0.02)])
+            per_b.append(jacobian(t)[:, 1] / (b * (1.0 - b)))
+        np.testing.assert_allclose(per_b[0], per_b[1], rtol=1e-5)
+        t = np.array([math.log(0.6), -25.0, math.log(0.02)])
+        jac, fd = jacobian(t), _central_differences(residual, t)
+        np.testing.assert_allclose(jac[:, [0, 2]], fd[:, [0, 2]], rtol=1e-6, atol=1e-12)
+        assert np.all(jac[:, 1] > 0)
+
+    def test_clipped_coordinates_have_zero_columns(self):
+        xs = np.arange(13.0, 500.0, 25.0)
+        pts = WindowedEstimates(xs, np.full(xs.size, 0.1), 25)
+        _res, jacobian, _t0 = rates._fit_problem(pts, RateKind.HYPERBOLIC, 5000)
+        assert not jacobian(np.array([0.0, 29.0, -4.0]))[:, 1].any()
+        assert not jacobian(np.array([0.0, -29.0, -4.0]))[:, 1].any()
+        assert not jacobian(np.array([0.0, 0.0, -51.0]))[:, 2].any()
+        assert jacobian(np.array([0.0, 0.0, -4.0])).all()
+
+
+def _fit_corpus():
+    """Windowed prefixes of synthetic topics of every kind, clean and noisy,
+    plus near-flat (uniform) rankings."""
+    shapes = {
+        "exponential": {"a": 0.6, "b": -0.004},
+        "hyperbolic": {"a": 0.7, "b": 0.5, "c": 0.01},
+        "power": {"a": 0.9, "b": -0.6},
+        "ap_prior": {"a": 60.0},
+        "uniform": {"a": 0.05},
+    }
+    for kind, params in shapes.items():
+        for noise in (0.0, 0.02):
+            for seed in (1, 2):
+                spec = SyntheticSpec(n=3000, kind=kind, params=params, seed=seed, noise=noise)
+                labels = generate_synthetic(spec).labels
+                for k in (300, 900, 2100):
+                    for window in (10, 25):
+                        pts = window_estimates(labels[:k], window)
+                        if np.any(pts.y > 0):
+                            yield f"{kind}-{noise}-{seed}-{k}-{window}", pts
+
+
+def _finite_variance(jac: np.ndarray) -> bool:
+    """Would fit_rate's variance formula be finite for this Jacobian?"""
+    try:
+        with np.errstate(all="ignore"):
+            return bool(np.all(np.isfinite(np.linalg.inv(jac.T @ jac))))
+    except np.linalg.LinAlgError:
+        return False
+
+
+class TestLevenbergMarquardt:
+    def test_agrees_with_minpack_on_a_corpus(self):
+        from scipy.optimize import least_squares
+
+        compared = 0
+        for name, pts in _fit_corpus():
+            for kind in RateKind:
+                residual, jacobian, t0 = rates._fit_problem(pts, kind, 3000)
+                budget = 2000 * t0.size
+                ref = least_squares(
+                    residual, t0, jac=jacobian, method="lm", max_nfev=budget
+                )
+                if ref.status <= 0:
+                    with pytest.raises(FitFailureError):
+                        rates._levenberg_marquardt(residual, jacobian, t0, budget)
+                    continue
+                t, fvec = rates._levenberg_marquardt(residual, jacobian, t0, budget)
+                label = f"{name} {kind.value}"
+                assert 0.5 * float(fvec @ fvec) <= ref.cost * (1 + 1e-9), label
+                if _finite_variance(ref.jac):
+                    ours = np.array(rates._natural(kind, t))
+                    theirs = np.array(rates._natural(kind, ref.x))
+                    np.testing.assert_allclose(ours, theirs, rtol=1e-6, err_msg=label)
+                    compared += 1
+        assert compared >= 350  # 378 of the 480 fits at the time of writing
+
+    def test_exhausted_budget_raises(self):
+        xs = np.arange(1.0, 40.0) * 25.0 - 12.0
+        spike = WindowedEstimates(xs, np.r_[1.0, np.zeros(38)], 25)
+        # a single spike drives b towards -infinity until all 4000 are used
+        with pytest.raises(FitFailureError, match="4000 evaluations"):
+            fit_rate(spike, RateKind.EXPONENTIAL, 2000)
+        residual, jacobian, t0 = rates._fit_problem(
+            WindowedEstimates(xs, np.exp(-xs / 300.0) * 0.5, 25), RateKind.HYPERBOLIC, 2000
+        )
+        with pytest.raises(FitFailureError):
+            rates._levenberg_marquardt(residual, jacobian, t0, 3)
+
+    def test_wild_fits_raise_no_warning(self):
+        xs = np.arange(1.0, 40.0) * 25.0 - 12.0
+        shapes = [
+            np.r_[1.0, 0.04, np.zeros(37)],
+            np.linspace(0.0, 0.5, 39),
+            np.r_[np.zeros(38), 0.04],
+            np.r_[np.full(38, 0.04), 0.08],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in shapes:
+                for kind in RateKind:
+                    curve = fit_rate(WindowedEstimates(xs, y, 25), kind, 2000)
+                    assert math.isfinite(curve.nrmse)
