@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistributionError, ValidationError
-from .rates import RateCurve, RateKind, RateParams, rate_integral
+from .rates import (
+    RateCurve,
+    RateKind,
+    _check_integral_interval,
+    _integral,
+    rate_integral,
+)
 from .special import log_factorials, log_gamma
 
 
@@ -71,31 +77,69 @@ def _bounded_cap(cap: int) -> int:
     return cap
 
 
+# Components summed per block: more is faster but holds more memory
+# (2**13 float64 elements are 64 KiB).
+_BLOCK_ELEMENTS = 2**13
+
+
 def _mixture_quantile(masses: np.ndarray, weights: np.ndarray, p: float) -> int:
     """Smallest m whose cumulative probability under a Poisson mixture reaches p.
 
     The mixture has one Poisson component per mass, weighted by the
     matching (normalized) weight. Direct summation of the mass functions;
     exactness matters at the small means typical near a stopping decision.
-    Components are added one at a time over a shared count array, so the
-    memory used grows with the count cap only. Raises
-    DegenerateDistributionError when the sum would need more than 2**22
-    terms.
+    The count array starts at the cap for the mixture's mean and doubles
+    until the cdf reaches p, capped once at the cap for the largest mass,
+    which covers every component: a count's probability does not depend
+    on the array's length, so the first cap only sets how often it
+    doubles. Raises DegenerateDistributionError when the largest mass, or
+    the sum, would need more than 2**22 terms, so a wild grid point fails
+    at once, as it would when summed on its own.
     """
-    cap = _summation_cap(float(masses.max()))
+    top = _summation_cap(float(masses.max()))
+    cap = _summation_cap(float(weights @ masses))
     while True:
-        counts = np.arange(cap + 1, dtype=float)
-        log_fact = log_factorials(cap + 1)
-        mixture = np.zeros(counts.size)
-        for w, mass in zip(weights.tolist(), masses.tolist()):
-            if mass == 0.0:
-                mixture[0] += w
-            else:
-                mixture += w * np.exp(-mass + counts * math.log(mass) - log_fact)
-        cdf = np.cumsum(mixture)
+        cdf = np.cumsum(_mixture_pmf(masses, weights, cap + 1))
         if cdf[-1] >= p:
             return int(np.searchsorted(cdf, p, side="left"))
-        cap = _bounded_cap(cap * 2)
+        cap = min(2 * cap, top) if cap < top else _bounded_cap(2 * cap)
+
+
+def _mixture_pmf(masses: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """The mixture's probabilities of the counts 0..size-1.
+
+    Components are summed in row blocks of about ``_BLOCK_ELEMENTS``; each
+    block is folded into the running sum left to right, so every count's
+    probability is added up in component order, as one component at a
+    time would, and the memory used grows with the count range only.
+    """
+    counts = np.arange(size, dtype=float)
+    log_fact = log_factorials(size)
+    rows = max(1, _BLOCK_ELEMENTS // size)
+    mixture = None
+    for start in range(0, masses.size, rows):
+        m = masses[start:start + rows]
+        w = weights[start:start + rows]
+        values = m.tolist()
+        # math.log, not numpy's, which differs in the last bit for some arguments
+        block = np.multiply.outer([math.log(v) if v else 0.0 for v in values], counts)
+        block -= m[:, None]
+        block -= log_fact
+        np.exp(block, out=block)
+        block *= w[:, None]
+        if 0.0 in values:  # a zero mass puts all of its weight on count 0
+            zero = m == 0.0
+            block[zero] = 0.0
+            block[zero, 0] = w[zero]
+        if mixture is not None:
+            block[0] += mixture
+        mixture = np.add.reduce(block, axis=0)
+    return mixture
+
+
+def _check_confidence(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {p}")
 
 
 def poisson_quantile(mean: float, p: float) -> int:
@@ -104,23 +148,16 @@ def poisson_quantile(mean: float, p: float) -> int:
     Raises DegenerateDistributionError when the sum would need more than
     2**22 terms.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {p}")
+    _check_confidence(p)
     if mean < 0 or not math.isfinite(mean):
         raise ValueError(f"mean must be finite and >= 0, got {mean}")
     return _mixture_quantile(np.array([mean]), np.array([1.0]), p)
-
-
-def _check_interval(i: int, j: int) -> None:
-    if i > j:
-        raise ValueError(f"interval start {i} exceeds end {j}")
 
 
 def estimate_remaining_ip(
     curve: RateCurve, i: int, j: int, p: float
 ) -> RemainingEstimate:
     """Fixed-mean Poisson estimate for the relevant-count in ranks [i, j]."""
-    _check_interval(i, j)
     mass = rate_integral(curve.params, i, j)
     return RemainingEstimate((i, j), mass, poisson_quantile(mass, p), p)
 
@@ -170,13 +207,16 @@ def estimate_remaining_cox(
     Falls back to the fixed-mean estimate (flagged) when any parameter
     variance is non-finite, i.e. the fit could not support an
     uncertainty model. Zero variances reproduce the fixed-mean result
-    exactly.
+    exactly. A confidence outside (0, 1) or a bad interval raises
+    ValueError before any grid work.
     """
     if not (3 <= grid <= MAX_COX_GRID and grid % 2 == 1):
         raise ValidationError(
             f"grid must be an odd integer in [3, {MAX_COX_GRID}], got {grid}"
         )
-    _check_interval(i, j)
+    _check_confidence(p)
+    params = curve.params
+    _check_integral_interval(params.kind, params.n_total, i, j)
 
     variances = curve.param_variance
     if any(not math.isfinite(v) for v in variances):
@@ -185,7 +225,7 @@ def estimate_remaining_cox(
     if all(v == 0.0 for v in variances):
         return estimate_remaining_ip(curve, i, j, p)
 
-    kind = curve.params.kind
+    kind = params.kind
     axes, axis_weights = _param_grids(curve, grid)
     # one column per grid point, in row-major order: the order of the weight sum
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
@@ -199,12 +239,10 @@ def estimate_remaining_cox(
     weights = weights / weights.sum()
 
     # a scalar integral per point: an array form would use numpy's exp,
-    # which differs from math.exp in the last bit for some arguments
+    # which differs from math.exp in the last bit for some arguments. The
+    # points passed _valid_points, which holds RateParams' constraints.
     masses = np.array(
-        [
-            rate_integral(RateParams.from_values(kind, values, curve.params.n_total), i, j)
-            for values in points[:, valid].T
-        ]
+        [_integral(kind, params.n_total, i, j, *values) for values in points[:, valid].T.tolist()]
     )
     mean_mass = float(weights @ masses)
     return RemainingEstimate((i, j), mean_mass, _mixture_quantile(masses, weights, p), p)

@@ -186,27 +186,41 @@ def rate_integral(params: RateParams, i: float, j: float) -> float:
     and j under the fitted curve, and the mean of the counting
     distribution built from it.
     """
+    _check_integral_interval(params.kind, params.n_total, i, j)
+    return _integral(params.kind, params.n_total, i, j, params.a, params.b, params.c)
+
+
+def _check_integral_interval(
+    kind: RateKind, n_total: int | None, i: float, j: float
+) -> None:
+    """The interval checks of ``rate_integral``, shared by every point of
+    a parameter grid."""
     if i > j:
         raise ValueError(f"interval start {i} exceeds end {j}")
     if i < 1:
         raise ValueError(f"interval must start at rank >= 1, got {i}")
+    if kind is RateKind.AP_PRIOR and i < j and j > n_total:
+        raise ValueError(f"ap_prior integral end {j} exceeds n_total {n_total}")
+
+
+def _integral(
+    kind: RateKind, n_total: int | None, i: float, j: float,
+    a: float, b: float | None = None, c: float | None = None,
+) -> float:
+    """``rate_integral`` on raw parameter values that satisfy the family's
+    constraints, over an interval ``_check_integral_interval`` accepts."""
     if i == j:
         return 0.0
-    kind = params.kind
-    a = params.a
     if kind is RateKind.EXPONENTIAL:
-        b = params.b
         if abs(b) < _EXP_B_ZERO:
             return a * (j - i)
         return a / b * (math.exp(b * j) - math.exp(b * i))
     if kind is RateKind.POWER_LAW:
-        b = params.b
         if abs(b + 1.0) < _POW_B_NEG1:
             return a * math.log(j / i)
         e = b + 1.0
         return a / e * (j**e - i**e)
     if kind is RateKind.HYPERBOLIC:
-        b, c = params.b, params.c
         if b < _HYP_B_ZERO:
             return a / c * (math.exp(-c * i) - math.exp(-c * j))
         if abs(b - 1.0) < _HYP_B_ONE:
@@ -217,12 +231,9 @@ def rate_integral(params: RateParams, i: float, j: float) -> float:
         term_i = math.exp(e * math.log1p(b * c * i))
         return a / (c * (b - 1.0)) * (term_j - term_i)
     # AP_PRIOR: antiderivative of log(n/x) is x*log(n/x) + x
-    n = params.n_total
-    if j > n:
-        raise ValueError(f"ap_prior integral end {j} exceeds n_total {n}")
-    upper = j * math.log(n / j) + j
-    lower = i * math.log(n / i) + i
-    return a * (upper - lower) / _ap_normalizer(n)
+    upper = j * math.log(n_total / j) + j
+    lower = i * math.log(n_total / i) + i
+    return a * (upper - lower) / _ap_normalizer(n_total)
 
 
 def window_estimates(labels, window_size: int) -> WindowedEstimates:

@@ -11,6 +11,10 @@ from scipy.special import gammaln
 
 from tarstop.errors import DegenerateDistributionError, ValidationError
 from tarstop.estimates import (
+    _BLOCK_ELEMENTS,
+    _mixture_pmf,
+    _mixture_quantile,
+    _summation_cap,
     estimate_remaining_cox,
     estimate_remaining_ip,
     poisson_pmf,
@@ -212,6 +216,25 @@ class TestEstimateRemainingCox:
         with pytest.raises(DegenerateDistributionError):
             estimate_remaining_cox(curve, 1, 100, 0.95)
 
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.0, math.nan])
+    @pytest.mark.parametrize(
+        "variances, b",
+        [
+            ((1e-4, 1e-8), -0.01),  # the mixture
+            ((0.0, 1e-8), 0.5),  # every grid point invalid
+            ((math.inf, 1e-8), -0.01),  # the fixed-mean fallback
+            ((0.0, 0.0), -0.01),  # zero variances
+        ],
+    )
+    def test_invalid_confidence(self, p, variances, b):
+        # rejected before any grid work: the all-invalid grid would raise
+        # DegenerateDistributionError, and p = 1 would size count arrays
+        # up to the 2**22 limit
+        params = RateParams(RateKind.EXPONENTIAL, a=0.5, b=b)
+        curve = RateCurve(params, variances, nrmse=0.01, points_used=20)
+        with pytest.raises(ValueError, match="confidence"):
+            estimate_remaining_cox(curve, 100, 1000, p)
+
     def test_confidence_monotone_upper_bound(self):
         curve = make_curve(RateKind.EXPONENTIAL, (1e-4, 1e-8), a=0.5, b=-0.01)
         bounds = [
@@ -263,24 +286,34 @@ def _mixture_components(curve, i, j, grid=9):
     return np.asarray(masses), weights / weights.sum()
 
 
+def _reference_pmf(masses, weights, size):
+    """Mixture probabilities of the counts 0..size-1, one pmf row per component."""
+    counts = np.arange(size, dtype=float)
+    mixture = np.zeros(size)
+    for w, lam in zip(weights, masses):
+        if lam == 0.0:
+            row = np.zeros(size)
+            row[0] = 1.0
+        else:
+            row = np.exp(-lam + counts * math.log(lam) - gammaln(counts + 1))
+        mixture += w * row
+    return mixture
+
+
+def _reference_quantile(masses, weights, p):
+    """Mixture quantile from a count array sized by the largest mass."""
+    cap = int(masses.max() + 20.0 * math.sqrt(masses.max()) + 100.0)
+    while True:
+        cdf = np.cumsum(_reference_pmf(masses, weights, cap + 1))
+        if cdf[-1] >= p:
+            return int(np.searchsorted(cdf, p, side="left"))
+        cap *= 2
+
+
 def _reference_cox(curve, i, j, p, grid=9):
     """(mixture mean, upper bound) summing one pmf row per grid point."""
     masses, weights = _mixture_components(curve, i, j, grid)
-    cap = int(masses.max() + 20.0 * math.sqrt(masses.max()) + 100.0)
-    while True:
-        counts = np.arange(cap + 1, dtype=float)
-        mixture = np.zeros(counts.size)
-        for w, lam in zip(weights, masses):
-            if lam == 0.0:
-                row = np.zeros(counts.size)
-                row[0] = 1.0
-            else:
-                row = np.exp(-lam + counts * math.log(lam) - gammaln(counts + 1))
-            mixture += w * row
-        cdf = np.cumsum(mixture)
-        if cdf[-1] >= p:
-            return float(weights @ masses), int(np.searchsorted(cdf, p, side="left"))
-        cap *= 2
+    return float(weights @ masses), _reference_quantile(masses, weights, p)
 
 
 def _random_cox_curve(rng, kind, n, zero_variance=None) -> RateCurve:
@@ -343,6 +376,73 @@ class TestCoxMatchesPerPointReference:
         self.assert_exact(curve, 100, 2000, grid=15)
 
 
+class TestMixtureBlocks:
+    """The block-summed mixture equals the one-component-at-a-time sum with
+    ``==``, and its quantile equals one searched from the largest mass."""
+
+    @pytest.mark.parametrize("size", [101, 243, _BLOCK_ELEMENTS + 7])
+    def test_blocks_match_per_component_sum(self, rng, size):
+        curve = _random_cox_curve(rng, RateKind.HYPERBOLIC, 2000)
+        masses, weights = _mixture_components(curve, 100, 2000, grid=15)
+        if size > _BLOCK_ELEMENTS:  # one component per block; keep the reference short
+            masses, weights = masses[:40], weights[:40] / weights[:40].sum()
+        assert masses.size > 3 * max(1, _BLOCK_ELEMENTS // size)
+        got = _mixture_pmf(masses, weights, size)
+        assert np.array_equal(got, _reference_pmf(masses, weights, size))
+        assert _mixture_quantile(masses, weights, 0.95) == _reference_quantile(
+            masses, weights, 0.95
+        )
+
+    def test_zero_masses_among_positive(self, rng):
+        masses = rng.uniform(0.1, 40.0, 300)
+        masses[::7] = 0.0  # the first component of the first block among them
+        masses[-1] = 0.0
+        weights = rng.uniform(0.1, 1.0, 300)
+        weights /= weights.sum()
+        for size in (101, 400):
+            got = _mixture_pmf(masses, weights, size)
+            assert np.array_equal(got, _reference_pmf(masses, weights, size))
+        for p in (0.05, 0.5, 0.95, 0.999):
+            assert _mixture_quantile(masses, weights, p) == _reference_quantile(
+                masses, weights, p
+            )
+
+    @pytest.mark.parametrize("extreme_weight", [1e-6, 0.2])
+    def test_extreme_point_far_above_the_mean(self, rng, extreme_weight):
+        # the first cap comes from the mean, far below the largest mass;
+        # with weight 0.2 the quantile lies past it and the cap doubles
+        masses = rng.uniform(3.0, 8.0, 80)
+        masses[37] = 5000.0
+        weights = rng.uniform(0.5, 1.0, 80)
+        weights[37] = 0.0
+        weights *= (1.0 - extreme_weight) / weights.sum()
+        weights[37] = extreme_weight
+        mean_cap = _summation_cap(float(weights @ masses))
+        assert mean_cap < _summation_cap(float(masses.max())) / 3
+        expected = _reference_quantile(masses, weights, 0.95)
+        assert (expected > mean_cap) == (extreme_weight > 0.05)
+        assert _mixture_quantile(masses, weights, 0.95) == expected
+
+    def test_working_memory_stays_at_one_block(self):
+        # grid 161 on a two-parameter family: 25,921 components, which all
+        # at once would take 40 MiB of pmf rows
+        curve = make_curve(RateKind.EXPONENTIAL, (1e-4, 1e-8), a=0.5, b=-0.01)
+        masses, weights = _mixture_components(curve, 100, 1000, grid=161)
+        assert masses.size == 161**2
+        expected = _mixture_quantile(masses, weights, 0.95)  # grows the shared tables
+        tracemalloc.start()
+        try:
+            assert _mixture_quantile(masses, weights, 0.95) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = _summation_cap(float(weights @ masses)) + 1
+        block_bytes = 8 * max(_BLOCK_ELEMENTS, size)
+        # the block, numpy's iteration buffers of one block each for a
+        # broadcast operation on it, and a few count-sized arrays
+        assert peak < 5 * block_bytes + 8 * (8 * size)
+
+
 class TestMemoryBound:
     """A wild fit's mass must fail cleanly, not size a huge count array."""
 
@@ -362,6 +462,17 @@ class TestMemoryBound:
     def test_huge_mixture_mass_raises_at_once(self):
         curve = make_curve(RateKind.EXPONENTIAL, (1e12, 1e-14), a=1e13, b=-1e-6)
         peak = self.peak_bytes(lambda: estimate_remaining_cox(curve, 2, 1000, 0.95))
+        assert peak < 1 << 20
+
+    def test_wild_grid_point_raises_at_once(self):
+        # the mean is small, but one point's own count range is over the
+        # limit: the mixture fails as that point would on its own
+        masses = np.full(99, 5.0)
+        masses[50] = 1e13
+        weights = np.full(99, (1.0 - 1e-15) / 98)
+        weights[50] = 1e-15
+        assert _summation_cap(float(weights @ masses)) < 1000
+        peak = self.peak_bytes(lambda: _mixture_quantile(masses, weights, 0.95))
         assert peak < 1 << 20
 
     def test_mean_below_the_cap_still_served(self):

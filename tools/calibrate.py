@@ -47,12 +47,12 @@ BUCKETS = (("poor", 0.0, 0.75), ("middling", 0.75, 0.9), ("good", 0.9, 1.01))
 TARGET_RECALL = 0.99
 
 
-def topics() -> list[ts.RankedTopic]:
+def topics(seeds=SEEDS, noises=NOISES) -> list[ts.RankedTopic]:
     out = []
     for kind, shapes in SHAPES.items():
         for i, params in enumerate(shapes):
-            for noise in NOISES:
-                for seed in SEEDS:
+            for noise in noises:
+                for seed in seeds:
                     spec = ts.SyntheticSpec(
                         n=N, kind=kind, params=params, seed=seed, noise=noise,
                         topic_id=f"{kind}-{i}-{noise}-{seed}",
@@ -89,26 +89,31 @@ def _row(process: str, family: str, bucket: str, runs) -> dict:
     }
 
 
-def table() -> dict:
-    pool = [(bucket_of(t), t) for t in topics()]
-    rows = []
+def rows(pool: list[ts.RankedTopic], families=tuple(ts.RateKind)) -> list[dict]:
+    """One row per process, family and bucket (and "all") over ``pool``."""
+    bucketed = [(bucket_of(t), t) for t in pool]
+    out = []
     for process in ts.ProcessKind:
-        for family in ts.RateKind:
+        for family in families:
             config = ts.StoppingConfig(
                 target_recall=TARGET_RECALL, process=process, rate_kind=family
             )
-            runs = [(b, t, ts.run_stopping(t, config)) for b, t in pool]
+            runs = [(b, t, ts.run_stopping(t, config)) for b, t in bucketed]
             for name, _lo, _hi in BUCKETS:
                 picked = [(t, o) for b, t, o in runs if b == name]
-                rows.append(_row(process.value, family.value, name, picked))
-            rows.append(_row(process.value, family.value, "all", [(t, o) for _b, t, o in runs]))
+                out.append(_row(process.value, family.value, name, picked))
+            out.append(_row(process.value, family.value, "all", [(t, o) for _b, t, o in runs]))
+    return out
+
+
+def table() -> dict:
     return {
         "settings": {
             "n": N, "seeds": list(SEEDS), "noises": list(NOISES), "shapes": SHAPES,
             "buckets": [list(b) for b in BUCKETS], "target_recall": TARGET_RECALL,
             "confidence": ts.StoppingConfig().confidence,
         },
-        "rows": rows,
+        "rows": rows(topics()),
     }
 
 
