@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import baselines, corpus, metrics, stopping
@@ -37,6 +38,8 @@ from .estimates import ProcessKind
 from .rates import RateKind
 
 DEFAULT_SEED = 1729
+# Characters of whole lines per block when streaming a run or qrels file.
+_READ_HINT = 1 << 16
 
 RATE_NAMES = {
     "exp": RateKind.EXPONENTIAL,
@@ -126,17 +129,47 @@ def _read_input(path: Path, what: str) -> str:
         ) from None
 
 
+def _input_lines(path: Path, what: str) -> Iterator[str]:
+    """``_read_input(path, what).splitlines()``, read lazily in blocks of
+    whole lines, so neither the text nor its list of lines is ever held.
+
+    With ``newline=""`` the reader ends a line only at ``\n``, ``\r`` or
+    ``\r\n``, and never splits ``\r\n``, so ``splitlines`` on a block
+    finds exactly the boundaries it finds in the whole text.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            while block := f.readlines(_READ_HINT):
+                yield from "".join(block).splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # The reader's decoder counts offsets from its current chunk; decode
+        # the whole file again to report the offset from the file's start.
+        _read_input(path, what)
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def _parse_input(parse, path: Path, what: str, later: tuple = ()):
+    """``parse`` over the lines of ``path``, streamed from the file.
+
+    Errors are reported as if every input were decoded whole before any
+    is parsed: a malformed line wins only once the rest of its file, and
+    each ``(path, what)`` in ``later``, is known to be readable UTF-8.
+    """
+    try:
+        return parse(_input_lines(path, what))
+    except ParseError as exc:
+        if exc.line is None:  # the file could not be read; parsers name a line
+            raise
+        for other, other_what in ((path, what), *later):
+            _read_input(other, other_what)
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _load_topics(run_path: Path, qrels_path: Path) -> list[corpus.RankedTopic]:
-    run_text = _read_input(run_path, "run")
-    qrels_text = _read_input(qrels_path, "qrels")
-    try:
-        run = corpus.parse_run(run_text)
-    except ParseError as exc:
-        raise ParseError(f"{run_path}: {exc}") from exc
-    try:
-        qrels = corpus.parse_qrels(qrels_text)
-    except ParseError as exc:
-        raise ParseError(f"{qrels_path}: {exc}") from exc
+    run = _parse_input(corpus.parse_run, run_path, "run", ((qrels_path, "qrels"),))
+    qrels = _parse_input(corpus.parse_qrels, qrels_path, "qrels")
     topics = corpus.join_all(run, qrels)
     if not topics:
         raise ParseError(f"{run_path}: run file contains no topics")

@@ -7,15 +7,22 @@ per line, blank and ``#``-prefixed comment lines skipped):
          graded relevance collapses to binary: value > 0 means relevant)
   run:   ``topic Q0 docid rank score tag``     (Q0 and tag ignored)
 
+Both parsers take the whole text or any iterable of its lines (for
+example a file read lazily), so a caller need not hold the text at all.
 A parsed run holds each topic as two parallel columns in rank order,
-doc ids and scores, so ranks are implicit and dense. Documents present
-in a run but absent from the qrels are treated as non-relevant, the
-standard pooling assumption.
+doc ids and scores, so ranks are implicit and dense. Parsed qrels hold
+one ``{doc_id: 0|1}`` dict per topic. Documents present in a run but
+absent from the qrels are treated as non-relevant, the standard pooling
+assumption.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import le
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -35,16 +42,26 @@ MAX_SYNTHETIC_N = 10_000_000
 
 @dataclass(frozen=True)
 class Qrels:
-    """Binary relevance judgments keyed by (topic_id, doc_id)."""
+    """Binary relevance judgments per topic: ``judged[topic_id][doc_id]``
+    is 0 or 1."""
 
-    entries: dict[tuple[str, str], int]
+    judged: dict[str, dict[str, int]]
+
+    @property
+    def entries(self) -> Mapping[tuple[str, str], int]:
+        """Read-only view of every judgment keyed by (topic_id, doc_id)."""
+        return MappingProxyType({
+            (topic, doc_id): rel
+            for topic, docs in self.judged.items()
+            for doc_id, rel in docs.items()
+        })
 
     def relevance(self, topic_id: str, doc_id: str) -> int:
         """Judgment for one document; unjudged documents are 0."""
-        return self.entries.get((topic_id, doc_id), 0)
+        return self.judged.get(topic_id, {}).get(doc_id, 0)
 
     def topic_ids(self) -> list[str]:
-        return sorted({t for t, _ in self.entries})
+        return sorted(self.judged)
 
 
 class RunColumns(NamedTuple):
@@ -147,14 +164,19 @@ class SyntheticSpec:
                 raise ValidationError(f"{self.kind} synthetic params require b")
 
 
-def parse_qrels(text: str) -> Qrels:
-    """Parse qrels text into binary judgments.
+def _lines(source: str | Iterable[str]) -> Iterable[str]:
+    return source.splitlines() if isinstance(source, str) else source
+
+
+def parse_qrels(source: str | Iterable[str]) -> Qrels:
+    """Parse qrels, given as text or as its lines, into binary judgments.
 
     Raises ParseError for malformed lines (naming the line number) and
     DuplicateEntryError for repeated (topic, doc) keys.
     """
-    entries: dict[tuple[str, str], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    judged: dict[str, dict[str, int]] = {}
+    current = None
+    for lineno, raw in enumerate(_lines(source), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -167,23 +189,34 @@ def parse_qrels(text: str) -> Qrels:
             rel = int(rel_str)
         except ValueError:
             raise ParseError(f"relevance {rel_str!r} is not an integer", lineno) from None
-        key = (topic, doc_id)
-        if key in entries:
-            raise DuplicateEntryError(f"duplicate qrels entry for {key}", lineno)
-        entries[key] = 1 if rel > 0 else 0
-    return Qrels(entries)
+        if topic != current:  # qrels list a topic's lines together
+            current = topic
+            docs = judged.setdefault(topic, {})
+        if doc_id in docs:
+            raise DuplicateEntryError(
+                f"duplicate qrels entry for {(topic, doc_id)}", lineno
+            )
+        docs[doc_id] = 1 if rel > 0 else 0
+    return Qrels(judged)
 
 
-def parse_run(text: str) -> RunRanking:
-    """Parse a TREC run file; ranks are renumbered densely per topic.
+def parse_run(source: str | Iterable[str]) -> RunRanking:
+    """Parse a TREC run, given as text or as its lines; ranks are
+    renumbered densely per topic.
 
     Lines of a topic are ordered by their rank field; lines with equal
     ranks keep their file order.
     """
-    # topic -> (doc ids, ranks, scores, doc ids seen), in file order
-    by_topic: dict[str, tuple[list[str], list[int], list[float], set[str]]] = {}
+    from array import array  # loaded by the commands that parse a run only
+
+    # topic -> [doc ids, ranks, scores], in file order; ranks are 64-bit
+    # machine integers unless a topic has one beyond that range
+    by_topic: dict[str, list] = {}
+    # Doc ids seen, kept for the current topic's block only, and for the
+    # topics whose lines come back after another topic's.
+    revisited: dict[str, set[str]] = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(source), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -203,24 +236,33 @@ def parse_run(text: str) -> RunRanking:
             raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
         if topic != current:  # runs list a topic's lines together
             current = topic
-            doc_ids, ranks, scores, seen = by_topic.setdefault(
-                topic, ([], [], [], set())
-            )
+            if topic not in by_topic:
+                by_topic[topic] = [[], array("q"), []]
+                seen = set()
+            elif topic in revisited:
+                seen = revisited[topic]
+            else:
+                seen = revisited[topic] = set(by_topic[topic][0])
+            doc_ids, ranks, scores = by_topic[topic]
         if doc_id in seen:
             raise DuplicateEntryError(
                 f"doc {doc_id!r} listed twice for topic {topic!r}", lineno
             )
         seen.add(doc_id)
         doc_ids.append(doc_id)
-        ranks.append(rank)
+        try:
+            ranks.append(rank)
+        except OverflowError:
+            ranks = by_topic[topic][1] = [*ranks, rank]
         scores.append(score)
 
     topics: dict[str, RunColumns] = {}
-    for topic, (doc_ids, ranks, scores, _seen) in by_topic.items():
-        order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable on ties
-        topics[topic] = RunColumns(
-            [doc_ids[i] for i in order], [scores[i] for i in order]
-        )
+    for topic, (doc_ids, ranks, scores) in by_topic.items():
+        if not all(map(le, ranks, islice(ranks, 1, None))):
+            order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable on ties
+            doc_ids = [doc_ids[i] for i in order]
+            scores = [scores[i] for i in order]
+        topics[topic] = RunColumns(doc_ids, scores)
     return RunRanking(topics)
 
 
@@ -239,11 +281,9 @@ def join(run: RunRanking, qrels: Qrels, topic_id: str) -> RankedTopic:
     if topic_id not in run.topics:
         raise TopicNotFoundError(f"topic {topic_id!r} not present in run")
     doc_ids = run.topics[topic_id].doc_ids
-    entries = qrels.entries
+    judged = qrels.judged.get(topic_id, {})
     labels = np.fromiter(
-        (entries.get((topic_id, d), 0) > 0 for d in doc_ids),
-        dtype=bool,
-        count=len(doc_ids),
+        map(judged.get, doc_ids, repeat(0)), dtype=bool, count=len(doc_ids)
     )
     return RankedTopic(topic_id, labels)
 

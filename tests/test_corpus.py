@@ -67,6 +67,22 @@ class TestParseQrels:
         q = parse_qrels("\n# comment\nT1 0 d1 1\n\n")
         assert q.entries == {("T1", "d1"): 1}
 
+    def test_judgments_are_held_per_topic(self):
+        q = parse_qrels("T2 0 d1 1\nT1 0 d1 0\nT2 0 d2 0\n")
+        assert q.judged == {"T2": {"d1": 1, "d2": 0}, "T1": {"d1": 0}}
+        assert q.topic_ids() == ["T1", "T2"]
+        assert [q.relevance("T2", "d1"), q.relevance("T1", "d1"),
+                q.relevance("T3", "d1")] == [1, 0, 0]
+
+    def test_entries_is_a_read_only_view(self):
+        q = parse_qrels("T1 0 d1 1")
+        with pytest.raises(TypeError):
+            q.entries[("T1", "d2")] = 1
+
+    def test_duplicate_key_in_a_topic_that_comes_back(self):
+        with pytest.raises(DuplicateEntryError, match="line 3"):
+            parse_qrels("T1 0 d1 1\nT2 0 d1 1\nT1 0 d1 0")
+
 
 class TestParseRun:
     def test_sorts_by_rank(self):
@@ -88,6 +104,16 @@ class TestParseRun:
         assert [rank for _, rank, _ in rows(run, "T1")] == [1, 2, 3]
         assert run.topics["T1"].doc_ids == ["d2", "d5", "d9"]
         assert run.topics["T1"].scores == [0.9, 0.5, 0.1]
+
+    def test_duplicate_doc_in_a_topic_that_comes_back(self):
+        text = "T1 Q0 d1 1 0.9 x\nT2 Q0 d1 1 0.9 x\nT1 Q0 d2 2 0.8 x\nT1 Q0 d1 3 0.7 x"
+        with pytest.raises(DuplicateEntryError, match="line 4"):
+            parse_run(text)
+
+    def test_ranks_beyond_64_bits(self):
+        big = 2 ** 64
+        run = parse_run(f"T1 Q0 a {big} 1 x\nT1 Q0 b 1 2 x\nT1 Q0 c {-big} 3 x")
+        assert run.topics["T1"].doc_ids == ["c", "b", "a"]
 
     def test_non_numeric_rank(self):
         with pytest.raises(ParseError, match="rank"):
@@ -291,6 +317,42 @@ def _reference_parse_run(text: str) -> dict[str, list[_Entry]]:
     return topics
 
 
+def _reference_parse_qrels(text: str) -> dict[tuple[str, str], int]:
+    """The per-line qrels parser the per-topic parser replaced, kept as an oracle."""
+    entries: dict[tuple[str, str], int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 4:
+            raise ParseError(
+                f"expected 4 fields 'topic iter docid rel', got {len(parts)}", lineno
+            )
+        topic, _iter, doc_id, rel_str = parts
+        try:
+            rel = int(rel_str)
+        except ValueError:
+            raise ParseError(f"relevance {rel_str!r} is not an integer", lineno) from None
+        key = (topic, doc_id)
+        if key in entries:
+            raise DuplicateEntryError(f"duplicate qrels entry for {key}", lineno)
+        entries[key] = 1 if rel > 0 else 0
+    return entries
+
+
+def _outcome(parse, source):
+    """What ``parse`` returns for ``source``, or its error's type, line and message."""
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+def _two_ways(text: str):
+    """The text whole, and an iterator over its lines."""
+    return text, iter(text.splitlines())
+
+
 _SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
 
 
@@ -322,12 +384,42 @@ def _run_line(draw) -> str:
     return lead + draw(_SPACE).join(fields)
 
 
-_run_text = st.builds(
-    lambda lines, sep, tail: sep.join(lines) + tail,
-    st.lists(_run_line(), max_size=15),
-    st.sampled_from(["\n", "\r\n", "\n\n"]),
-    st.sampled_from(["", "\n"]),
-)
+def _text_of(lines):
+    return st.builds(
+        lambda lines, sep, tail: sep.join(lines) + tail,
+        st.lists(lines, max_size=15),
+        st.sampled_from(["\n", "\r\n", "\n\n"]),
+        st.sampled_from(["", "\n"]),
+    )
+
+
+_run_text = _text_of(_run_line())
+
+
+@st.composite
+def _qrels_line(draw) -> str:
+    kind = draw(st.sampled_from(
+        ["record"] * 16 + ["comment", "blank", "short", "long", "bad rel"]
+    ))
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# note", "  #T1 0 d1 1"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    rel = draw(st.integers(-2, 3).map(str))
+    if kind == "bad rel":
+        rel = draw(st.sampled_from(["x", "1.0", "yes"]))
+    topic = draw(st.sampled_from(["T1", "T2", "t3"]))
+    doc = draw(st.sampled_from([f"d{i}" for i in range(16)]))
+    fields = [topic, draw(st.sampled_from(["0", "Q0"])), doc, rel]
+    if kind == "short":
+        del fields[draw(st.integers(0, 3))]
+    elif kind == "long":
+        fields.append("extra")
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    return lead + draw(_SPACE).join(fields)
+
+
+_qrels_text = _text_of(_qrels_line())
 
 
 _VALID_RUN = "".join(f"T Q0 d{r} {r} {1 - r / 100} x\n" for r in range(1, 41))
@@ -348,18 +440,28 @@ class TestParserProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_run_text)
     def test_parse_run_matches_per_line_reference(self, text):
-        try:
-            expected = _reference_parse_run(text)
-        except ParseError as ref_exc:
-            with pytest.raises(type(ref_exc)) as caught:
-                parse_run(text)
-            assert caught.value.line == ref_exc.line
-            assert str(caught.value) == str(ref_exc)
-            return
-        run = parse_run(text)
-        assert list(run.topics) == list(expected)
-        for topic, entries in expected.items():
-            assert rows(run, topic) == [tuple(e) for e in entries]
+        expected = _outcome(_reference_parse_run, text)
+        if isinstance(expected, dict):
+            expected = {t: [tuple(e) for e in entries] for t, entries in expected.items()}
+        for source in _two_ways(text):
+            run = _outcome(parse_run, source)
+            if isinstance(run, tuple):  # an error: type, line and message
+                assert run == expected
+            else:
+                assert {t: rows(run, t) for t in run.topics} == expected
+                assert list(run.topics) == list(expected)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_qrels_text)
+    def test_parse_qrels_matches_per_line_reference(self, text):
+        expected = _outcome(_reference_parse_qrels, text)
+        for source in _two_ways(text):
+            qrels = _outcome(parse_qrels, source)
+            if isinstance(qrels, tuple):  # an error: type, line and message
+                assert qrels == expected
+            else:
+                assert qrels.entries == expected
+                assert qrels.topic_ids() == sorted({t for t, _ in expected})
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
