@@ -16,11 +16,8 @@ from .baselines import (
     target_stop,
 )
 from .corpus import (
-    Qrels,
     RankedTopic,
-    RunRanking,
     SyntheticSpec,
-    format_run,
     generate_synthetic,
     join,
     join_all,

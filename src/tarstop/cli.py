@@ -357,7 +357,8 @@ def _run_method(
 
 
 def _parse_methods(raw: str) -> list[str]:
-    names = [m.strip() for m in raw.split(",") if m.strip()]
+    """Method names in first-occurrence order, each once."""
+    names = list(dict.fromkeys(m.strip() for m in raw.split(",") if m.strip()))
     for name in names:
         if name not in COMPARE_METHODS:
             raise ConfigError(
@@ -374,16 +375,19 @@ def _compare_over_topics(
     args: argparse.Namespace,
 ) -> tuple[list[dict], list[dict]]:
     """Per-topic metric rows and aggregate rows, sorted."""
-    results = [
+    return _metric_rows([
         metrics.topic_metrics(_run_method(method, topic, args), topic, args.target_recall)
         for topic in topics
         for method in methods
-    ]
-    results.sort(key=lambda tm: (tm.topic_id, tm.method))
+    ])
 
+
+def _metric_rows(results: list[metrics.TopicMetrics]) -> tuple[list[dict], list[dict]]:
+    """Topic rows sorted by (topic, method), and one aggregate row per method."""
+    results = sorted(results, key=lambda tm: (tm.topic_id, tm.method))
     topic_rows = [_metrics_record(tm) for tm in results]
     agg_rows = []
-    for method in sorted(methods):
+    for method in sorted({tm.method for tm in results}):
         group = [tm for tm in results if tm.method == method]
         agg_rows.append(_aggregate_record(method, metrics.aggregate(group)))
     return topic_rows, agg_rows
@@ -500,14 +504,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         per_topic.append(metrics.topic_metrics(outcome, topic, args.target_recall))
     if not per_topic:
         raise ParseError(f"{args.outcomes}: no outcome records to evaluate")
-    per_topic.sort(key=lambda tm: (tm.topic_id, tm.method))
-
-    topic_rows = [_metrics_record(tm) for tm in per_topic]
-    agg_rows = []
-    for method in sorted({tm.method for tm in per_topic}):
-        group = [tm for tm in per_topic if tm.method == method]
-        agg_rows.append(_aggregate_record(method, metrics.aggregate(group)))
-    _write_metrics_outputs(args, topic_rows, agg_rows)
+    _write_metrics_outputs(args, *_metric_rows(per_topic))
     return 0
 
 

@@ -5,25 +5,23 @@ per line, blank and ``#``-prefixed comment lines skipped):
 
   qrels: ``topic iteration docid relevance``   (iteration ignored;
          graded relevance collapses to binary: value > 0 means relevant)
-  run:   ``topic Q0 docid rank score tag``     (Q0 and tag ignored)
+  run:   ``topic Q0 docid rank score tag``     (Q0 and tag ignored; the
+         score is checked to be numeric but not kept)
 
 Both parsers take the whole text or any iterable of its lines (for
 example a file read lazily), so a caller need not hold the text at all.
-A parsed run holds each topic as two parallel columns in rank order,
-doc ids and scores, so ranks are implicit and dense. Parsed qrels hold
-one ``{doc_id: 0|1}`` dict per topic. Documents present in a run but
-absent from the qrels are treated as non-relevant, the standard pooling
-assumption.
+A parsed run maps each topic to its doc ids in rank order, so ranks are
+implicit and dense. Parsed qrels map each topic to a ``{doc_id: 0|1}``
+dict. Documents present in a run but absent from the qrels are treated
+as non-relevant, the standard pooling assumption.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import le
-from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,53 +31,12 @@ from .errors import (
     TopicNotFoundError,
     ValidationError,
 )
+from .rates import RateKind, RateParams, rate_value
 
-SYNTHETIC_KINDS = ("exponential", "hyperbolic", "power", "ap_prior", "uniform")
+SYNTHETIC_KINDS = (*(kind.value for kind in RateKind), "uniform")
 # Largest synthetic topic: generation peaks at about 24 bytes per document
 # (23 MiB measured at n = 1,000,000), so about 0.25 GiB at this size.
 MAX_SYNTHETIC_N = 10_000_000
-
-
-@dataclass(frozen=True)
-class Qrels:
-    """Binary relevance judgments per topic: ``judged[topic_id][doc_id]``
-    is 0 or 1."""
-
-    judged: dict[str, dict[str, int]]
-
-    @property
-    def entries(self) -> Mapping[tuple[str, str], int]:
-        """Read-only view of every judgment keyed by (topic_id, doc_id)."""
-        return MappingProxyType({
-            (topic, doc_id): rel
-            for topic, docs in self.judged.items()
-            for doc_id, rel in docs.items()
-        })
-
-    def relevance(self, topic_id: str, doc_id: str) -> int:
-        """Judgment for one document; unjudged documents are 0."""
-        return self.judged.get(topic_id, {}).get(doc_id, 0)
-
-    def topic_ids(self) -> list[str]:
-        return sorted(self.judged)
-
-
-class RunColumns(NamedTuple):
-    """One topic's ranking in rank order: ``doc_ids[r-1]`` and
-    ``scores[r-1]`` are the document and score at dense rank r."""
-
-    doc_ids: list[str]
-    scores: list[float]
-
-
-@dataclass(frozen=True)
-class RunRanking:
-    """Per-topic document rankings with dense ranks 1..m."""
-
-    topics: dict[str, RunColumns]
-
-    def topic_ids(self) -> list[str]:
-        return sorted(self.topics)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +82,9 @@ class SyntheticSpec:
 
     ``kind`` selects the shape of the relevance probability over ranks;
     ``params`` supplies its a/b/c values (``uniform`` uses only ``a``,
-    ``ap_prior`` uses ``a`` with the normalizer taken over ``n``).
+    ``ap_prior`` uses ``a`` with the normalizer taken over ``n``); the
+    other kinds are the ``rates.RateKind`` families, whose constraints
+    ``rates.RateParams`` checks on construction.
     ``noise`` flips each label independently with the given probability.
     ``n`` must lie in [1, MAX_SYNTHETIC_N].
     """
@@ -136,6 +95,8 @@ class SyntheticSpec:
     seed: int
     noise: float = 0.0
     topic_id: str = ""
+    # the curve labels are drawn from; None for ``uniform``
+    _rate: RateParams | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_SYNTHETIC_N:
@@ -153,23 +114,25 @@ class SyntheticSpec:
         a = self.params.get("a")
         if a is None or a < 0:
             raise ValidationError(f"synthetic params require a >= 0, got {a}")
-        if self.kind == "hyperbolic":
-            b, c = self.params.get("b"), self.params.get("c")
-            if b is None or not 0.0 <= b <= 1.0:
-                raise ValidationError(f"hyperbolic b must be in [0, 1], got {b}")
-            if c is None or c <= 0:
-                raise ValidationError(f"hyperbolic c must be > 0, got {c}")
-        elif self.kind in ("exponential", "power"):
-            if self.params.get("b") is None:
-                raise ValidationError(f"{self.kind} synthetic params require b")
+        if self.kind != "uniform":
+            kind = RateKind(self.kind)
+            rate = RateParams(
+                kind,
+                a=a,
+                b=self.params.get("b"),
+                c=self.params.get("c"),
+                n_total=self.n if kind is RateKind.AP_PRIOR else None,
+            )
+            object.__setattr__(self, "_rate", rate)
 
 
 def _lines(source: str | Iterable[str]) -> Iterable[str]:
     return source.splitlines() if isinstance(source, str) else source
 
 
-def parse_qrels(source: str | Iterable[str]) -> Qrels:
-    """Parse qrels, given as text or as its lines, into binary judgments.
+def parse_qrels(source: str | Iterable[str]) -> dict[str, dict[str, int]]:
+    """Parse qrels, given as text or as its lines, into binary judgments
+    ``{topic_id: {doc_id: 0|1}}``.
 
     Raises ParseError for malformed lines (naming the line number) and
     DuplicateEntryError for repeated (topic, doc) keys.
@@ -197,21 +160,22 @@ def parse_qrels(source: str | Iterable[str]) -> Qrels:
                 f"duplicate qrels entry for {(topic, doc_id)}", lineno
             )
         docs[doc_id] = 1 if rel > 0 else 0
-    return Qrels(judged)
+    return judged
 
 
-def parse_run(source: str | Iterable[str]) -> RunRanking:
-    """Parse a TREC run, given as text or as its lines; ranks are
-    renumbered densely per topic.
+def parse_run(source: str | Iterable[str]) -> dict[str, list[str]]:
+    """Parse a TREC run, given as text or as its lines, into each topic's
+    doc ids in rank order: ``run[topic_id][r - 1]`` is the document at
+    dense rank r.
 
     Lines of a topic are ordered by their rank field; lines with equal
     ranks keep their file order.
     """
     from array import array  # loaded by the commands that parse a run only
 
-    # topic -> [doc ids, ranks, scores], in file order; ranks are 64-bit
-    # machine integers unless a topic has one beyond that range
-    by_topic: dict[str, list] = {}
+    # topic -> (doc ids, ranks), in file order; ranks are 64-bit machine
+    # integers unless a topic has one beyond that range
+    by_topic: dict[str, tuple] = {}
     # Doc ids seen, kept for the current topic's block only, and for the
     # topics whose lines come back after another topic's.
     revisited: dict[str, set[str]] = {}
@@ -231,19 +195,19 @@ def parse_run(source: str | Iterable[str]) -> RunRanking:
         except ValueError:
             raise ParseError(f"rank {rank_str!r} is not an integer", lineno) from None
         try:
-            score = float(score_str)
+            float(score_str)
         except ValueError:
             raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
         if topic != current:  # runs list a topic's lines together
             current = topic
             if topic not in by_topic:
-                by_topic[topic] = [[], array("q"), []]
+                by_topic[topic] = ([], array("q"))
                 seen = set()
             elif topic in revisited:
                 seen = revisited[topic]
             else:
                 seen = revisited[topic] = set(by_topic[topic][0])
-            doc_ids, ranks, scores = by_topic[topic]
+            doc_ids, ranks = by_topic[topic]
         if doc_id in seen:
             raise DuplicateEntryError(
                 f"doc {doc_id!r} listed twice for topic {topic!r}", lineno
@@ -253,69 +217,37 @@ def parse_run(source: str | Iterable[str]) -> RunRanking:
         try:
             ranks.append(rank)
         except OverflowError:
-            ranks = by_topic[topic][1] = [*ranks, rank]
-        scores.append(score)
+            ranks = [*ranks, rank]
+            by_topic[topic] = (doc_ids, ranks)
 
-    topics: dict[str, RunColumns] = {}
-    for topic, (doc_ids, ranks, scores) in by_topic.items():
+    run: dict[str, list[str]] = {}
+    for topic, (doc_ids, ranks) in by_topic.items():
         if not all(map(le, ranks, islice(ranks, 1, None))):
             order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable on ties
             doc_ids = [doc_ids[i] for i in order]
-            scores = [scores[i] for i in order]
-        topics[topic] = RunColumns(doc_ids, scores)
-    return RunRanking(topics)
+        run[topic] = doc_ids
+    return run
 
 
-def format_run(run: RunRanking, tag: str = "tarstop") -> str:
-    """Serialize a RunRanking back to TREC run text (round-trips rank order)."""
-    lines = []
-    for topic in run.topic_ids():
-        doc_ids, scores = run.topics[topic]
-        for rank, (doc_id, score) in enumerate(zip(doc_ids, scores), start=1):
-            lines.append(f"{topic} Q0 {doc_id} {rank} {score} {tag}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def join(run: RunRanking, qrels: Qrels, topic_id: str) -> RankedTopic:
+def join(
+    run: dict[str, list[str]], qrels: dict[str, dict[str, int]], topic_id: str
+) -> RankedTopic:
     """Label one topic's ranking using the qrels."""
-    if topic_id not in run.topics:
+    if topic_id not in run:
         raise TopicNotFoundError(f"topic {topic_id!r} not present in run")
-    doc_ids = run.topics[topic_id].doc_ids
-    judged = qrels.judged.get(topic_id, {})
+    doc_ids = run[topic_id]
+    judged = qrels.get(topic_id, {})
     labels = np.fromiter(
         map(judged.get, doc_ids, repeat(0)), dtype=bool, count=len(doc_ids)
     )
     return RankedTopic(topic_id, labels)
 
 
-def join_all(run: RunRanking, qrels: Qrels) -> list[RankedTopic]:
+def join_all(
+    run: dict[str, list[str]], qrels: dict[str, dict[str, int]]
+) -> list[RankedTopic]:
     """Join every topic in the run, sorted by topic id."""
-    return [join(run, qrels, t) for t in run.topic_ids()]
-
-
-def _synthetic_probabilities(spec: SyntheticSpec) -> np.ndarray:
-    # Imported here to avoid a cycle: rates also raises ValidationError.
-    from .rates import RateKind, RateParams, rate_value
-
-    x = np.arange(1, spec.n + 1, dtype=float)
-    if spec.kind == "uniform":
-        lam = np.full(spec.n, spec.params["a"], dtype=float)
-    else:
-        kind = {
-            "exponential": RateKind.EXPONENTIAL,
-            "hyperbolic": RateKind.HYPERBOLIC,
-            "power": RateKind.POWER_LAW,
-            "ap_prior": RateKind.AP_PRIOR,
-        }[spec.kind]
-        params = RateParams(
-            kind,
-            a=spec.params["a"],
-            b=spec.params.get("b"),
-            c=spec.params.get("c"),
-            n_total=spec.n if kind is RateKind.AP_PRIOR else None,
-        )
-        lam = rate_value(params, x)
-    return np.clip(lam, 0.0, 1.0)
+    return [join(run, qrels, t) for t in sorted(run)]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> RankedTopic:
@@ -326,7 +258,11 @@ def generate_synthetic(spec: SyntheticSpec) -> RankedTopic:
     generator makes output identical for identical (spec, seed) across
     platforms and thread counts.
     """
-    probs = _synthetic_probabilities(spec)
+    if spec._rate is None:
+        lam = np.full(spec.n, spec.params["a"], dtype=float)
+    else:
+        lam = rate_value(spec._rate, np.arange(1, spec.n + 1, dtype=float))
+    probs = np.clip(lam, 0.0, 1.0)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     labels = rng.random(spec.n) < probs
     if spec.noise > 0.0:

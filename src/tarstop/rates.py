@@ -267,14 +267,14 @@ def nrmse(curve: RateCurve, points: WindowedEstimates) -> float:
     if len(points) < 2:
         raise InsufficientDataError("nrmse needs at least 2 points")
     preds = np.asarray(rate_value(curve.params, points.x), dtype=float)
-    return _nrmse_raw(preds, points.y)
+    return _nrmse_raw(preds - points.y, points.y)
 
 
-def _nrmse_raw(preds: np.ndarray, y: np.ndarray) -> float:
+def _nrmse_raw(residuals: np.ndarray, y: np.ndarray) -> float:
     span = float(y.max() - y.min())
     if span <= 0.0:
         raise UndefinedRangeError("observed values are constant; range is zero")
-    return float(np.sqrt(np.mean((preds - y) ** 2)) / span)
+    return float(np.sqrt(np.mean(residuals ** 2)) / span)
 
 
 # --- fitting -----------------------------------------------------------
@@ -730,6 +730,6 @@ def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCur
         except np.linalg.LinAlgError:
             variances = np.full(n_params, np.inf)
 
-    preds = np.asarray(rate_value(params, points.x))
-    fit_nrmse = _nrmse_raw(preds, points.y)
+    # fvec is the fitted curve's residuals, rate_value(params, x) - y
+    fit_nrmse = _nrmse_raw(fvec, points.y)
     return RateCurve(params, tuple(float(v) for v in variances), fit_nrmse, m)

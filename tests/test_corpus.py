@@ -14,7 +14,6 @@ from tarstop.cli import main
 from tarstop.corpus import (
     RankedTopic,
     SyntheticSpec,
-    format_run,
     generate_synthetic,
     join,
     parse_qrels,
@@ -29,23 +28,22 @@ from tarstop.errors import (
 
 
 def rows(run, topic):
-    """(doc_id, rank, score) per document of one topic; rank is the 1-based position."""
-    doc_ids, scores = run.topics[topic]
-    return [(d, rank, score) for rank, (d, score) in enumerate(zip(doc_ids, scores), start=1)]
+    """(doc_id, rank) per document of one topic; rank is the 1-based position."""
+    return [(d, rank) for rank, d in enumerate(run[topic], start=1)]
 
 
 class TestParseQrels:
     def test_direct_mapping(self):
         q = parse_qrels("T1 0 d1 1\nT1 0 d2 0")
-        assert q.entries == {("T1", "d1"): 1, ("T1", "d2"): 0}
+        assert q == {"T1": {"d1": 1, "d2": 0}}
 
     def test_graded_collapses_to_binary(self):
         q = parse_qrels("T1 0 d1 2")
-        assert q.entries == {("T1", "d1"): 1}
+        assert q == {"T1": {"d1": 1}}
 
     def test_negative_relevance_maps_to_zero(self):
         q = parse_qrels("T1 0 d1 -1")
-        assert q.entries == {("T1", "d1"): 0}
+        assert q == {"T1": {"d1": 0}}
 
     def test_wrong_field_count_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -65,19 +63,12 @@ class TestParseQrels:
 
     def test_comments_and_blank_lines_skipped(self):
         q = parse_qrels("\n# comment\nT1 0 d1 1\n\n")
-        assert q.entries == {("T1", "d1"): 1}
+        assert q == {"T1": {"d1": 1}}
 
     def test_judgments_are_held_per_topic(self):
         q = parse_qrels("T2 0 d1 1\nT1 0 d1 0\nT2 0 d2 0\n")
-        assert q.judged == {"T2": {"d1": 1, "d2": 0}, "T1": {"d1": 0}}
-        assert q.topic_ids() == ["T1", "T2"]
-        assert [q.relevance("T2", "d1"), q.relevance("T1", "d1"),
-                q.relevance("T3", "d1")] == [1, 0, 0]
-
-    def test_entries_is_a_read_only_view(self):
-        q = parse_qrels("T1 0 d1 1")
-        with pytest.raises(TypeError):
-            q.entries[("T1", "d2")] = 1
+        assert q == {"T2": {"d1": 1, "d2": 0}, "T1": {"d1": 0}}
+        assert list(q) == ["T2", "T1"]
 
     def test_duplicate_key_in_a_topic_that_comes_back(self):
         with pytest.raises(DuplicateEntryError, match="line 3"):
@@ -87,13 +78,10 @@ class TestParseQrels:
 class TestParseRun:
     def test_sorts_by_rank(self):
         run = parse_run("T1 Q0 d2 2 0.5 x\nT1 Q0 d1 1 0.9 x")
-        assert rows(run, "T1") == [
-            ("d1", 1, 0.9),
-            ("d2", 2, 0.5),
-        ]
+        assert rows(run, "T1") == [("d1", 1), ("d2", 2)]
 
     def test_empty_input(self):
-        assert parse_run("").topics == {}
+        assert parse_run("") == {}
 
     def test_duplicate_doc(self):
         with pytest.raises(DuplicateEntryError):
@@ -101,9 +89,7 @@ class TestParseRun:
 
     def test_ranks_renumbered_densely(self):
         run = parse_run("T1 Q0 d9 10 0.1 x\nT1 Q0 d5 5 0.5 x\nT1 Q0 d2 2 0.9 x")
-        assert [rank for _, rank, _ in rows(run, "T1")] == [1, 2, 3]
-        assert run.topics["T1"].doc_ids == ["d2", "d5", "d9"]
-        assert run.topics["T1"].scores == [0.9, 0.5, 0.1]
+        assert rows(run, "T1") == [("d2", 1), ("d5", 2), ("d9", 3)]
 
     def test_duplicate_doc_in_a_topic_that_comes_back(self):
         text = "T1 Q0 d1 1 0.9 x\nT2 Q0 d1 1 0.9 x\nT1 Q0 d2 2 0.8 x\nT1 Q0 d1 3 0.7 x"
@@ -113,7 +99,7 @@ class TestParseRun:
     def test_ranks_beyond_64_bits(self):
         big = 2 ** 64
         run = parse_run(f"T1 Q0 a {big} 1 x\nT1 Q0 b 1 2 x\nT1 Q0 c {-big} 3 x")
-        assert run.topics["T1"].doc_ids == ["c", "b", "a"]
+        assert run["T1"] == ["c", "b", "a"]
 
     def test_non_numeric_rank(self):
         with pytest.raises(ParseError, match="rank"):
@@ -130,11 +116,14 @@ class TestParseRun:
     def test_round_trip_preserves_rank_order(self):
         text = "T1 Q0 d2 2 0.5 x\nT1 Q0 d1 1 0.9 x\nT2 Q0 a 7 3.0 x\n"
         run = parse_run(text)
-        again = parse_run(format_run(run))
-        for topic in run.topic_ids():
-            assert run.topics[topic].doc_ids == again.topics[topic].doc_ids
+        dense = "".join(
+            f"{topic} Q0 {d} {rank} 0 x\n"
+            for topic, doc_ids in run.items()
+            for rank, d in enumerate(doc_ids, start=1)
+        )
+        assert parse_run(dense) == run
 
-    def test_format_run_text_is_unchanged(self):
+    def test_doc_id_order_of_ties_gaps_and_interleaved_topics(self):
         # rank ties keep file order, rank gaps close up, topics interleave
         text = (
             "# ties, gaps and two topics\n"
@@ -147,15 +136,9 @@ class TestParseRun:
             "T1 Q0 a3 10 -0.5 run\n"
             "T1 Q0 a4 7 3.25 run\n"
         )
-        assert format_run(parse_run(text)) == (
-            "T1 Q0 a2 1 2.0 tarstop\n"
-            "T1 Q0 a4 2 3.25 tarstop\n"
-            "T1 Q0 a1 3 1.5 tarstop\n"
-            "T1 Q0 a3 4 -0.5 tarstop\n"
-            "T2 Q0 b2 1 0.001 tarstop\n"
-            "T2 Q0 b3 2 0.25 tarstop\n"
-            "T2 Q0 b1 3 0.75 tarstop\n"
-        )
+        run = parse_run(text)
+        assert run == {"T2": ["b2", "b3", "b1"], "T1": ["a2", "a4", "a1", "a3"]}
+        assert list(run) == ["T2", "T1"]
 
 
 class TestJoin:
@@ -252,6 +235,19 @@ class TestGenerateSynthetic:
             SyntheticSpec(
                 n=100, kind="hyperbolic", params={"a": 0.5, "b": 1.5, "c": 0.01}, seed=1
             )
+
+    @pytest.mark.parametrize("n, kind, params, message", [
+        (100, "exponential", {"a": 0.0, "b": -0.01}, "rate scale a must be > 0, got 0.0"),
+        (1, "ap_prior", {"a": 0.5}, "ap_prior needs n_total >= 2, got 1"),
+        (100, "exponential", {"a": 0.5}, "exponential params require b"),
+        (100, "power", {"a": 0.5}, "power params require b"),
+        (100, "hyperbolic", {"a": 0.5, "b": 0.5}, "hyperbolic c must be > 0, got None"),
+    ])
+    def test_family_constraints_checked_at_construction(self, n, kind, params, message):
+        # the same check, and message, as the rate family the labels come from
+        with pytest.raises(ValidationError) as err:
+            SyntheticSpec(n=n, kind=kind, params=params, seed=1)
+        assert str(err.value) == message
 
     def test_invalid_noise(self):
         with pytest.raises(ValidationError):
@@ -442,14 +438,14 @@ class TestParserProperties:
     def test_parse_run_matches_per_line_reference(self, text):
         expected = _outcome(_reference_parse_run, text)
         if isinstance(expected, dict):
-            expected = {t: [tuple(e) for e in entries] for t, entries in expected.items()}
+            expected = {t: [e[:2] for e in entries] for t, entries in expected.items()}
         for source in _two_ways(text):
             run = _outcome(parse_run, source)
             if isinstance(run, tuple):  # an error: type, line and message
                 assert run == expected
             else:
-                assert {t: rows(run, t) for t in run.topics} == expected
-                assert list(run.topics) == list(expected)
+                assert {t: rows(run, t) for t in run} == expected
+                assert list(run) == list(expected)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_qrels_text)
@@ -460,8 +456,10 @@ class TestParserProperties:
             if isinstance(qrels, tuple):  # an error: type, line and message
                 assert qrels == expected
             else:
-                assert qrels.entries == expected
-                assert qrels.topic_ids() == sorted({t for t, _ in expected})
+                assert {
+                    (t, d): rel for t, docs in qrels.items() for d, rel in docs.items()
+                } == expected
+                assert list(qrels) == list(dict.fromkeys(t for t, _ in expected))
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
