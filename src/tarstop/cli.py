@@ -658,19 +658,15 @@ def _load_specs(path: Path) -> list[corpus.SyntheticSpec]:
             raise ValidationError(
                 f"{where} field 'topic_id' must be a string, got {topic_id!r}"
             )
-        specs.append(
-            corpus.SyntheticSpec(
-                n=entry["n"],
-                kind=entry["kind"],
-                params={
-                    k: _spec_number(v, where, f"params.{k}")
-                    for k, v in entry["params"].items()
-                },
-                seed=entry["seed"],
-                noise=_spec_number(entry.get("noise", 0.0), where, "noise"),
-                topic_id=topic_id,
-            )
-        )
+        params = {k: _spec_number(v, where, f"params.{k}") for k, v in entry["params"].items()}
+        noise = _spec_number(entry.get("noise", 0.0), where, "noise")
+        try:
+            specs.append(corpus.SyntheticSpec(
+                n=entry["n"], kind=entry["kind"], params=params, seed=entry["seed"],
+                noise=noise, topic_id=topic_id,
+            ))
+        except ValidationError as exc:  # a field's range, or the rate family's constraints
+            raise ValidationError(f"{where}: {exc}") from None
     return specs
 
 

@@ -83,8 +83,8 @@ class SyntheticSpec:
     ``kind`` selects the shape of the relevance probability over ranks;
     ``params`` supplies its a/b/c values (``uniform`` uses only ``a``,
     ``ap_prior`` uses ``a`` with the normalizer taken over ``n``); the
-    other kinds are the ``rates.RateKind`` families, whose constraints
-    ``rates.RateParams`` checks on construction.
+    other kinds are the ``rates.RateKind`` families, whose parameters and
+    constraints come from their records in the family table.
     ``noise`` flips each label independently with the given probability.
     ``n`` must lie in [1, MAX_SYNTHETIC_N].
     """
@@ -112,18 +112,12 @@ class SyntheticSpec:
         if not 0.0 <= self.noise < 0.5:
             raise ValidationError(f"noise must be in [0, 0.5), got {self.noise}")
         a = self.params.get("a")
-        if a is None or a < 0:
+        if a is None or not a >= 0:
             raise ValidationError(f"synthetic params require a >= 0, got {a}")
         if self.kind != "uniform":
             kind = RateKind(self.kind)
-            rate = RateParams(
-                kind,
-                a=a,
-                b=self.params.get("b"),
-                c=self.params.get("c"),
-                n_total=self.n if kind is RateKind.AP_PRIOR else None,
-            )
-            object.__setattr__(self, "_rate", rate)
+            values = [self.params.get(key) for key in kind.family.params]
+            object.__setattr__(self, "_rate", RateParams.from_values(kind, values, self.n))
 
 
 def _lines(source: str | Iterable[str]) -> Iterable[str]:

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistributionError, ValidationError
-from .rates import (
-    RateCurve,
-    RateKind,
-    _check_integral_interval,
-    _integral,
-    rate_integral,
-)
+from .rates import RateCurve, rate_integral
 from .special import log_factorials, log_gamma
 
 
@@ -189,16 +183,6 @@ def _param_grids(
     return axes, weights
 
 
-def _valid_points(kind: RateKind, points: np.ndarray) -> np.ndarray:
-    """Mask of grid points (columns) that satisfy the family's constraints."""
-    valid = points[0] > 0
-    if kind is RateKind.HYPERBOLIC:
-        return valid & (points[1] >= 0.0) & (points[1] <= 1.0) & (points[2] > 0)
-    if kind is RateKind.AP_PRIOR:
-        return valid
-    return valid & (points[1] <= 0)  # decline constraint for exponential / power law
-
-
 def estimate_remaining_cox(
     curve: RateCurve, i: int, j: int, p: float, grid: int = 9
 ) -> RemainingEstimate:
@@ -216,7 +200,8 @@ def estimate_remaining_cox(
         )
     _check_confidence(p)
     params = curve.params
-    _check_integral_interval(params.kind, params.n_total, i, j)
+    family = params.kind.family
+    family.check_interval(params.n_total, i, j)
 
     variances = curve.param_variance
     if any(not math.isfinite(v) for v in variances):
@@ -225,12 +210,11 @@ def estimate_remaining_cox(
     if all(v == 0.0 for v in variances):
         return estimate_remaining_ip(curve, i, j, p)
 
-    kind = params.kind
     axes, axis_weights = _param_grids(curve, grid)
     # one column per grid point, in row-major order: the order of the weight sum
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     weights = np.multiply.reduce(np.meshgrid(*axis_weights, indexing="ij")).ravel()
-    valid = _valid_points(kind, points)
+    valid = family.admits(points)
     if not valid.any():
         raise DegenerateDistributionError(
             "every grid point violates the parameter constraints"
@@ -240,9 +224,9 @@ def estimate_remaining_cox(
 
     # a scalar integral per point: an array form would use numpy's exp,
     # which differs from math.exp in the last bit for some arguments. The
-    # points passed _valid_points, which holds RateParams' constraints.
+    # kept points meet RateParams' constraints.
     masses = np.array(
-        [_integral(kind, params.n_total, i, j, *values) for values in points[:, valid].T.tolist()]
+        [family.integral(i, j, params.n_total, values) for values in points[:, valid].T.tolist()]
     )
     mean_mass = float(weights @ masses)
     return RemainingEstimate((i, j), mean_mass, _mixture_quantile(masses, weights, p), p)

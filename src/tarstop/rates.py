@@ -10,17 +10,23 @@ document at rank x:
   ap_prior      a * log(n/x) / Z,  Z = n*log(n) - log(n!)
                 (a probability shape over ranks 1..n, scaled by a)
 
-Each family has a closed-form integral over a rank interval, used as the
-mean of the counting distribution downstream. Fitting minimizes squared
-error between the curve and windowed relevance frequencies, with decline
-enforced through smooth reparameterization so the returned parameter
-variances stay meaningful.
+The family table ``_FAMILIES`` is the one place a family is defined: its
+free parameters, each with the coordinate the fit moves it in, its rate,
+the rate's closed-form integral over a rank interval (the mean of the
+counting distribution downstream), its Jacobian columns, the fit's start
+and whether it reads n_total. Everything else reads the table. Fitting
+minimizes squared error between the curve and windowed relevance
+frequencies; each coordinate maps an unbounded value onto its parameter's
+range, so the returned variances stay meaningful. ``RateParams`` takes any
+finite b for the exponential and power law, so a synthetic curve may
+rise; only the Cox grid holds them to b <= 0, the decline the fit keeps.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +53,195 @@ class RateKind(enum.Enum):
     POWER_LAW = "power"
     AP_PRIOR = "ap_prior"
 
+    @property
+    def family(self) -> _Family:
+        """This family's record in the family table."""
+        return _FAMILIES[self]
+
+
+# --- the coordinates of the fit ---------------------------------------
+#
+# The fit moves each free parameter in an unbounded coordinate t that maps
+# onto the parameter's range:
+#   exp(t)       a > 0 (all kinds), c > 0 (hyperbolic)
+#   -exp(t)      b < 0 (exponential, power law)
+#   sigmoid(t)   0 < b < 1 (hyperbolic), clipped 1e-12 inside the ends
+
+_SIG_CLIP = 1e-12
+_T_CLIP = 50.0  # keeps exp() finite when the minimizer probes extreme steps
+
+
+@dataclass(frozen=True)
+class _Coordinate:
+    natural: Callable[[float], float]  # the parameter at t, |t| <= _T_CLIP
+    slope: Callable[[float], float]  # d parameter / d t, given the parameter
+    admits: Callable  # the Cox grid's region, on a value or an array of them
+    bound: str | None  # RateParams' range: admits() in words; None: any finite value
+    clips: tuple[float, ...] = ()  # values natural() clips t to
+
+
+_POSITIVE = _Coordinate(math.exp, lambda v: v, lambda v: v > 0, "> 0")
+_FALLING = _Coordinate(lambda t: -math.exp(t), lambda v: v, lambda v: v <= 0, None)
+_UNIT = _Coordinate(
+    lambda t: min(max(expit(t), _SIG_CLIP), 1.0 - _SIG_CLIP), lambda v: v * (1.0 - v),
+    lambda v: (v >= 0.0) & (v <= 1.0), "in [0, 1]", (_SIG_CLIP, 1.0 - _SIG_CLIP),
+)
+
+
+# --- the family table -------------------------------------------------
+
+
+def _ap_normalizer(n_total: int) -> float:
+    # n*log(n) - log(n!) via log-gamma, safe for very large n.
+    return n_total * math.log(n_total) - log_gamma(n_total + 1)
+
+
+def _ap_rate(x, n, a):
+    return a * np.log(n / x) / _ap_normalizer(n)
+
+
+def _hyperbolic_area(i, j, n, a, b, c):
+    if b < _HYP_B_ZERO:
+        return a / c * (math.exp(-c * i) - math.exp(-c * j))
+    if abs(b - 1.0) < _HYP_B_ONE:
+        return a / c * (math.log1p(c * j) - math.log1p(c * i))
+    e = 1.0 - 1.0 / b
+    # antiderivative a/(c(b-1)) * (1+bcx)^(1-1/b), log-space power
+    term_j = math.exp(e * math.log1p(b * c * j))
+    term_i = math.exp(e * math.log1p(b * c * i))
+    return a / (c * (b - 1.0)) * (term_j - term_i)
+
+
+def _hyperbolic_jacobian(x, f, a, b, c):
+    """Below ``_HYP_B_ZERO`` the hyperbolic rate is evaluated at its b -> 0
+    limit, a * exp(-c x), but its slope in b is that limit's, c^2 x^2 / 2
+    in log space, not zero: a zero column would make J^T J singular and
+    leave every parameter of such a fit without a variance."""
+    cx = c * x
+    if b < _HYP_B_ZERO:
+        dlog_b = 0.5 * cx * cx
+        dc = -cx
+    else:
+        bcx1 = 1.0 + b * cx
+        dlog_b = np.log1p(b * cx) / (b * b) - cx / (b * bcx1)
+        dc = -cx / bcx1
+    return [f, f * (dlog_b * (b * (1.0 - b))), f * dc]
+
+
+def _decline_start(u, y, default: float, floor: float = -math.inf) -> list[float]:
+    """Start a at the largest window mean and b at the least-squares slope
+    of log y over u, held below zero."""
+    pos = y > 0
+    b0 = default
+    if pos.sum() >= 2:
+        b0 = min(float(np.polyfit(u[pos], np.log(y[pos]), 1)[0]), -1e-6)
+    return [math.log(float(y.max())), math.log(-max(b0, floor))]
+
+
+def _ap_start(x, y, n):
+    # ap_prior is linear in its scale, so start from the exact solution
+    unit = _ap_rate(x, n, 1.0)
+    denom = float(unit @ unit)
+    a_star = float(unit @ y) / denom if denom > 0 else float(y.max())
+    return [math.log(max(a_star, 1e-12))]
+
+
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """One rate family; its closed forms take values that meet its constraints."""
+
+    kind: RateKind
+    params: dict[str, _Coordinate]  # free parameters, in canonical order
+    rate: Callable  # (x, n_total, *values) -> the rate at positions x
+    area: Callable  # (i, j, n_total, *values) -> its integral over [i, j], i < j
+    jacobian: Callable  # (x, rate at x, *values) -> d rate / d t, one column each
+    start: Callable  # (window centers, window means, n_total) -> the fit's first t
+    reads_n_total: bool = False
+
+    def check(self, values, n_total, x: np.ndarray | None = None) -> None:
+        """``RateParams``' checks: each free value in order, then n_total;
+        and, given positions x, that the rate is defined there."""
+        name = self.kind.value
+        for (key, coord), v in zip(self.params.items(), values):
+            label = "rate scale a" if key == "a" else f"{name} {key}"
+            if coord.bound is None:
+                if v is None:
+                    raise ValidationError(f"{name} params require {key}")
+            elif v is None or not coord.admits(v):
+                raise ValidationError(f"{label} must be {coord.bound}, got {v}")
+            if not math.isfinite(v):
+                raise ValidationError(f"{label} must be finite, got {v}")
+        if self.reads_n_total and (n_total is None or n_total < 2):
+            raise ValidationError(f"{name} needs n_total >= 2, got {n_total}")
+        if self.reads_n_total and x is not None and (np.any(x < 1) or np.any(x > n_total)):
+            raise ValidationError(
+                f"{name} rate is defined on [1, {n_total}]; got positions outside it"
+            )
+
+    def check_interval(self, n_total: int | None, i: float, j: float) -> None:
+        """The interval checks of ``rate_integral``."""
+        if i > j:
+            raise ValueError(f"interval start {i} exceeds end {j}")
+        if i < 1:
+            raise ValueError(f"interval must start at rank >= 1, got {i}")
+        if self.reads_n_total and i < j and j > n_total:
+            raise ValueError(f"{self.kind.value} integral end {j} exceeds n_total {n_total}")
+
+    def integral(self, i: float, j: float, n_total: int | None, values) -> float:
+        """``rate_integral`` on raw values, over an interval it accepts."""
+        return 0.0 if i == j else self.area(i, j, n_total, *values)
+
+    def admits(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the Cox grid's points (columns, a row per free parameter)
+        inside every coordinate's range."""
+        return np.logical_and.reduce([c.admits(v) for c, v in zip(self.params.values(), points)])
+
+
+_FAMILIES = {family.kind: family for family in (
+    _Family(
+        RateKind.EXPONENTIAL, {"a": _POSITIVE, "b": _FALLING},
+        rate=lambda x, n, a, b: a * np.exp(b * x),
+        area=lambda i, j, n, a, b: a * (j - i) if abs(b) < _EXP_B_ZERO
+        else a / b * (math.exp(b * j) - math.exp(b * i)),
+        jacobian=lambda x, f, a, b: [f, f * (b * x)],
+        start=lambda x, y, n: _decline_start(x, y, -1e-3),
+    ),
+    _Family(
+        RateKind.HYPERBOLIC, {"a": _POSITIVE, "b": _UNIT, "c": _POSITIVE},
+        # (1 + bcx)^(1/b) computed in log space to survive small b
+        rate=lambda x, n, a, b, c: a * np.exp(-c * x) if b < _HYP_B_ZERO
+        else a * np.exp(-np.log1p(b * c * x) / b),
+        area=_hyperbolic_area,
+        jacobian=_hyperbolic_jacobian,
+        start=lambda x, y, n: [math.log(float(y.max())), 0.0, math.log(0.01)],
+    ),
+    _Family(
+        RateKind.POWER_LAW, {"a": _POSITIVE, "b": _FALLING},
+        rate=lambda x, n, a, b: a * np.power(x, b),
+        area=lambda i, j, n, a, b: a * math.log(j / i) if abs(b + 1.0) < _POW_B_NEG1
+        else a / (b + 1.0) * (j ** (b + 1.0) - i ** (b + 1.0)),
+        jacobian=lambda x, f, a, b: [f, f * (b * np.log(x))],
+        start=lambda x, y, n: _decline_start(np.log(x), y, -0.5, -10.0),
+    ),
+    _Family(
+        RateKind.AP_PRIOR, {"a": _POSITIVE},
+        rate=_ap_rate,
+        # x*log(n/x) + x is an antiderivative of log(n/x)
+        area=lambda i, j, n, a: a * ((j * math.log(n / j) + j) - (i * math.log(n / i) + i))
+        / _ap_normalizer(n),
+        jacobian=lambda x, f, a: [f],
+        start=_ap_start,
+        reads_n_total=True,
+    ),
+)}
+
 
 @dataclass(frozen=True)
 class RateParams:
-    """Parameters of one rate family.
+    """Parameters of one rate family, checked by its record on construction.
 
-    Arity per kind: exponential (a, b); hyperbolic (a, b, c);
-    power law (a, b); ap_prior (a, n_total).
+    Free parameters per kind: exponential and power law (a, b); hyperbolic
+    (a, b, c); ap_prior (a), with the fixed collection size n_total.
     """
 
     kind: RateKind
@@ -63,42 +251,19 @@ class RateParams:
     n_total: int | None = None
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValidationError(f"rate scale a must be > 0, got {self.a}")
-        if self.kind is RateKind.HYPERBOLIC:
-            if self.b is None or not 0.0 <= self.b <= 1.0:
-                raise ValidationError(f"hyperbolic b must be in [0, 1], got {self.b}")
-            if self.c is None or not self.c > 0:
-                raise ValidationError(f"hyperbolic c must be > 0, got {self.c}")
-        elif self.kind is RateKind.AP_PRIOR:
-            if self.n_total is None or self.n_total < 2:
-                raise ValidationError(
-                    f"ap_prior needs n_total >= 2, got {self.n_total}"
-                )
-        elif self.b is None:
-            raise ValidationError(f"{self.kind.value} params require b")
+        self.kind.family.check(self.values(), self.n_total)
 
     def values(self) -> tuple[float, ...]:
         """Free parameters in canonical order (excludes the fixed n_total)."""
-        if self.kind is RateKind.HYPERBOLIC:
-            return (self.a, self.b, self.c)
-        if self.kind is RateKind.AP_PRIOR:
-            return (self.a,)
-        return (self.a, self.b)
+        return tuple(getattr(self, key) for key in self.kind.family.params)
 
     @classmethod
     def from_values(
         cls, kind: RateKind, values, n_total: int | None = None
     ) -> RateParams:
         """Inverse of ``values()``; ``n_total`` is kept for ap_prior only."""
-        if kind is RateKind.HYPERBOLIC:
-            a, b, c = values
-            return cls(kind, a=a, b=b, c=c)
-        if kind is RateKind.AP_PRIOR:
-            (a,) = values
-            return cls(kind, a=a, n_total=n_total)
-        a, b = values
-        return cls(kind, a=a, b=b)
+        n_total = n_total if kind.family.reads_n_total else None
+        return cls(kind, **dict(zip(kind.family.params, values, strict=True)), n_total=n_total)
 
 
 @dataclass(frozen=True)
@@ -145,11 +310,6 @@ class WindowedEstimates:
         return int(self.x.size)
 
 
-def _ap_normalizer(n_total: int) -> float:
-    # n*log(n) - log(n!) via log-gamma, safe for very large n.
-    return n_total * math.log(n_total) - log_gamma(n_total + 1)
-
-
 def rate_value(params: RateParams, x) -> np.ndarray | float:
     """Evaluate the rate at rank position(s) x.
 
@@ -157,25 +317,9 @@ def rate_value(params: RateParams, x) -> np.ndarray | float:
     accept any non-negative position.
     """
     xs = np.asarray(x, dtype=float)
-    kind = params.kind
-    if kind is RateKind.EXPONENTIAL:
-        out = params.a * np.exp(params.b * xs)
-    elif kind is RateKind.POWER_LAW:
-        out = params.a * np.power(xs, params.b)
-    elif kind is RateKind.HYPERBOLIC:
-        b, c = params.b, params.c
-        if b < _HYP_B_ZERO:
-            out = params.a * np.exp(-c * xs)
-        else:
-            # (1 + bcx)^(1/b) computed in log space to survive small b
-            out = params.a * np.exp(-np.log1p(b * c * xs) / b)
-    else:  # AP_PRIOR
-        n = params.n_total
-        if np.any(xs < 1) or np.any(xs > n):
-            raise ValidationError(
-                f"ap_prior rate is defined on [1, {n}]; got positions outside it"
-            )
-        out = params.a * np.log(n / xs) / _ap_normalizer(n)
+    family = params.kind.family
+    family.check((), params.n_total, xs)
+    out = family.rate(xs, params.n_total, *params.values())
     return out if isinstance(x, np.ndarray) else float(out)
 
 
@@ -186,54 +330,9 @@ def rate_integral(params: RateParams, i: float, j: float) -> float:
     and j under the fitted curve, and the mean of the counting
     distribution built from it.
     """
-    _check_integral_interval(params.kind, params.n_total, i, j)
-    return _integral(params.kind, params.n_total, i, j, params.a, params.b, params.c)
-
-
-def _check_integral_interval(
-    kind: RateKind, n_total: int | None, i: float, j: float
-) -> None:
-    """The interval checks of ``rate_integral``, shared by every point of
-    a parameter grid."""
-    if i > j:
-        raise ValueError(f"interval start {i} exceeds end {j}")
-    if i < 1:
-        raise ValueError(f"interval must start at rank >= 1, got {i}")
-    if kind is RateKind.AP_PRIOR and i < j and j > n_total:
-        raise ValueError(f"ap_prior integral end {j} exceeds n_total {n_total}")
-
-
-def _integral(
-    kind: RateKind, n_total: int | None, i: float, j: float,
-    a: float, b: float | None = None, c: float | None = None,
-) -> float:
-    """``rate_integral`` on raw parameter values that satisfy the family's
-    constraints, over an interval ``_check_integral_interval`` accepts."""
-    if i == j:
-        return 0.0
-    if kind is RateKind.EXPONENTIAL:
-        if abs(b) < _EXP_B_ZERO:
-            return a * (j - i)
-        return a / b * (math.exp(b * j) - math.exp(b * i))
-    if kind is RateKind.POWER_LAW:
-        if abs(b + 1.0) < _POW_B_NEG1:
-            return a * math.log(j / i)
-        e = b + 1.0
-        return a / e * (j**e - i**e)
-    if kind is RateKind.HYPERBOLIC:
-        if b < _HYP_B_ZERO:
-            return a / c * (math.exp(-c * i) - math.exp(-c * j))
-        if abs(b - 1.0) < _HYP_B_ONE:
-            return a / c * (math.log1p(c * j) - math.log1p(c * i))
-        e = 1.0 - 1.0 / b
-        # antiderivative a/(c(b-1)) * (1+bcx)^(1-1/b), log-space power
-        term_j = math.exp(e * math.log1p(b * c * j))
-        term_i = math.exp(e * math.log1p(b * c * i))
-        return a / (c * (b - 1.0)) * (term_j - term_i)
-    # AP_PRIOR: antiderivative of log(n/x) is x*log(n/x) + x
-    upper = j * math.log(n_total / j) + j
-    lower = i * math.log(n_total / i) + i
-    return a * (upper - lower) / _ap_normalizer(n_total)
+    family = params.kind.family
+    family.check_interval(params.n_total, i, j)
+    return family.integral(i, j, params.n_total, params.values())
 
 
 def window_estimates(labels, window_size: int) -> WindowedEstimates:
@@ -278,117 +377,37 @@ def _nrmse_raw(residuals: np.ndarray, y: np.ndarray) -> float:
 
 
 # --- fitting -----------------------------------------------------------
-#
-# Free parameters are optimized in a transformed space that encodes the
-# decline constraints smoothly:
-#   a = exp(u)            (a > 0, all kinds)
-#   b = -exp(v)           (b < 0, exponential / power law)
-#   b = sigmoid(w)        (0 < b < 1, hyperbolic)
-#   c = exp(v)            (c > 0, hyperbolic)
-# Variances are mapped back to natural space with the transform Jacobian.
-
-_SIG_CLIP = 1e-12
-_T_CLIP = 50.0  # keeps exp() finite when the minimizer probes extreme steps
 
 
 def _natural(kind: RateKind, t: np.ndarray) -> tuple[float, ...]:
     t = [min(max(v, -_T_CLIP), _T_CLIP) for v in t.tolist()]
-    if kind is RateKind.HYPERBOLIC:
-        b = min(max(expit(t[1]), _SIG_CLIP), 1.0 - _SIG_CLIP)
-        return (math.exp(t[0]), b, math.exp(t[2]))
-    if kind is RateKind.AP_PRIOR:
-        return (math.exp(t[0]),)
-    return (math.exp(t[0]), -math.exp(t[1]))
-
-
-def _natural_jacobian(kind: RateKind, nat: tuple[float, ...]) -> np.ndarray:
-    if kind is RateKind.HYPERBOLIC:
-        a, b, c = nat
-        return np.array([a, b * (1.0 - b), c])
-    if kind is RateKind.AP_PRIOR:
-        return np.array([nat[0]])
-    a, b = nat
-    return np.array([a, b])  # d(-exp(v))/dv = b; squared below anyway
-
-
-def _rate_jacobian(
-    kind: RateKind, t: np.ndarray, nat: tuple[float, ...], f: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """d rate(x) / d t for the rate values f at transformed parameters t
-    (natural values nat), one column per parameter. A coordinate that
-    ``_natural`` clips does not move the rate, so its column is zero.
-
-    Below ``_HYP_B_ZERO`` the hyperbolic rate is evaluated at its b -> 0
-    limit, a * exp(-c x), but its slope in b is that limit's, c^2 x^2 / 2
-    in log space, not zero: a zero column would make J^T J singular and
-    leave every parameter of such a fit without a variance."""
-    if kind is RateKind.AP_PRIOR:
-        cols = [f]
-    elif kind is RateKind.EXPONENTIAL:
-        cols = [f, f * (nat[1] * x)]
-    elif kind is RateKind.POWER_LAW:
-        cols = [f, f * (nat[1] * np.log(x))]
-    else:
-        _a, b, c = nat
-        cx = c * x
-        if b < _HYP_B_ZERO:
-            dlog_b = 0.5 * cx * cx
-            dc = -cx
-        else:
-            bcx1 = 1.0 + b * cx
-            dlog_b = np.log1p(b * cx) / (b * b) - cx / (b * bcx1)
-            dc = -cx / bcx1
-        db = dlog_b * (b * (1.0 - b))
-        if b in (_SIG_CLIP, 1.0 - _SIG_CLIP):
-            db = np.zeros_like(x)
-        cols = [f, f * db, f * dc]
-    jac = np.stack(cols, axis=1)
-    jac[:, np.abs(t) > _T_CLIP] = 0.0
-    return jac
-
-
-def _decay_slope(x: np.ndarray, logy: np.ndarray) -> float:
-    slope = float(np.polyfit(x, logy, 1)[0])
-    return min(slope, -1e-6)
-
-
-def _initial_guess(points: WindowedEstimates, kind: RateKind, n_total: int) -> np.ndarray:
-    x, y = points.x, points.y
-    pos = y > 0
-    a0 = float(y.max())
-    if kind is RateKind.EXPONENTIAL:
-        b0 = _decay_slope(x[pos], np.log(y[pos])) if pos.sum() >= 2 else -1e-3
-        return np.array([math.log(a0), math.log(-b0)])
-    if kind is RateKind.POWER_LAW:
-        b0 = _decay_slope(np.log(x[pos]), np.log(y[pos])) if pos.sum() >= 2 else -0.5
-        b0 = max(b0, -10.0)
-        return np.array([math.log(a0), math.log(-b0)])
-    if kind is RateKind.HYPERBOLIC:
-        return np.array([math.log(a0), 0.0, math.log(0.01)])
-    # ap_prior is linear in its scale, so start from the exact solution
-    unit = np.asarray(rate_value(RateParams(kind, a=1.0, n_total=n_total), x))
-    denom = float(unit @ unit)
-    a_star = float(unit @ y) / denom if denom > 0 else a0
-    return np.array([math.log(max(a_star, 1e-12))])
+    return tuple(coord.natural(v) for coord, v in zip(kind.family.params.values(), t))
 
 
 def _fit_problem(points: WindowedEstimates, kind: RateKind, n_total: int):
     """Residual and Jacobian functions of the transformed parameters, and
-    the starting point, for fitting ``kind`` to ``points``."""
+    the starting point, for fitting ``kind`` to ``points``. The inputs are
+    checked here, once: the coordinates keep every value in range. A
+    coordinate that ``_natural`` clips does not move the rate, so its
+    Jacobian column is zero."""
+    family = kind.family
+    coords = tuple(family.params.values())
     x, y = points.x, points.y
-
-    def rate(t: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
-        nat = _natural(kind, t)
-        return nat, np.asarray(rate_value(RateParams.from_values(kind, nat, n_total), x))
+    family.check((), n_total, x)
 
     def residual(t: np.ndarray) -> np.ndarray:
-        return rate(t)[1] - y
+        return family.rate(x, n_total, *_natural(kind, t)) - y
 
     def jacobian(t: np.ndarray) -> np.ndarray:
-        nat, f = rate(t)
-        return _rate_jacobian(kind, t, nat, f, x)
+        nat = _natural(kind, t)
+        jac = np.stack(family.jacobian(x, family.rate(x, n_total, *nat), *nat), axis=1)
+        jac[:, [
+            abs(tv) > _T_CLIP or v in coord.clips
+            for tv, v, coord in zip(t.tolist(), nat, coords)
+        ]] = 0.0
+        return jac
 
-    return residual, jacobian, _initial_guess(points, kind, n_total)
+    return residual, jacobian, np.array(family.start(x, y, n_total))
 
 
 # --- Levenberg-Marquardt ---------------------------------------------------
@@ -725,7 +744,8 @@ def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCur
             cov_t = sigma2 * np.linalg.inv(jtj)
             if not np.all(np.isfinite(cov_t)):
                 raise np.linalg.LinAlgError
-            variances = np.diag(cov_t) * _natural_jacobian(kind, nat) ** 2
+            slopes = [c.slope(v) for c, v in zip(kind.family.params.values(), nat)]
+            variances = np.diag(cov_t) * np.array(slopes) ** 2
             variances = np.clip(variances, 0.0, None)
         except np.linalg.LinAlgError:
             variances = np.full(n_params, np.inf)

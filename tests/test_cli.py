@@ -696,12 +696,31 @@ class TestSimulateCommand:
          "synthetic n"),
         ({"n": 2 ** 63, "kind": "uniform", "params": {"a": 0.1}, "seed": 1},
          "synthetic n"),
+        # JSON's NaN, which Python's decoder accepts
+        ({"n": 100, "kind": "exponential", "params": {"a": 0.5, "b": float("nan")},
+          "seed": 1}, "exponential b must be finite"),
+        ({"n": 100, "kind": "power", "params": {"a": 0.5, "b": float("nan")}, "seed": 1},
+         "power b must be finite"),
+        ({"n": 100, "kind": "uniform", "params": {"a": float("nan")}, "seed": 1},
+         "synthetic params require a >= 0"),
     ])
     def test_invalid_field_exit_2(self, tmp_path, capsys, entry, named):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([entry]))
         assert main(["simulate", "--spec", str(path)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert f"{path}: spec 0" in err
+
+    def test_family_constraint_names_its_spec(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([
+            {"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": 1},
+            {"n": 100, "kind": "hyperbolic", "params": {"a": 0.5, "b": 0.5}, "seed": 2},
+        ]))
+        assert main(["simulate", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: spec 1: hyperbolic c must be > 0, got None" in err
 
     @pytest.mark.parametrize("text", ["[" * 100_000, "[" + "1" * 5000 + "]"])
     def test_unreadable_json_exit_3(self, tmp_path, capsys, text):

@@ -1,5 +1,6 @@
 """Parsing, joining, round-trips, and synthetic topic generation."""
 
+import math
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -242,6 +243,13 @@ class TestGenerateSynthetic:
         (100, "exponential", {"a": 0.5}, "exponential params require b"),
         (100, "power", {"a": 0.5}, "power params require b"),
         (100, "hyperbolic", {"a": 0.5, "b": 0.5}, "hyperbolic c must be > 0, got None"),
+        (100, "exponential", {"a": 0.5, "b": math.nan}, "exponential b must be finite, got nan"),
+        (100, "power", {"a": 0.5, "b": math.nan}, "power b must be finite, got nan"),
+        (100, "hyperbolic", {"a": 0.5, "b": 0.5, "c": math.nan},
+         "hyperbolic c must be > 0, got nan"),
+        (100, "uniform", {"a": math.nan}, "synthetic params require a >= 0, got nan"),
+        (100, "exponential", {"a": math.nan, "b": -0.01},
+         "synthetic params require a >= 0, got nan"),
     ])
     def test_family_constraints_checked_at_construction(self, n, kind, params, message):
         # the same check, and message, as the rate family the labels come from

@@ -376,6 +376,47 @@ class TestCoxMatchesPerPointReference:
         self.assert_exact(curve, 100, 2000, grid=15)
 
 
+class TestCoxGridBounds:
+    """The Cox grid keeps exactly the points ``_admissible`` keeps, on each
+    bound of the families' ranges and one ulp either side of it."""
+
+    BOUNDS = [("a", 0.0), ("b", 0.0), ("b", 1.0), ("c", 0.0)]
+
+    @pytest.mark.parametrize("kind", list(RateKind))
+    def test_mask_at_bounds(self, kind):
+        names = list(kind.family.params)
+        inside = {"a": 0.5, "b": 0.5 if kind is RateKind.HYPERBOLIC else -0.5, "c": 0.01}
+        safe = [inside[name] for name in names]
+        columns = []
+        for name, bound in self.BOUNDS:
+            if name not in names:
+                continue
+            for v in (math.nextafter(bound, -1.0), -0.0 if bound == 0.0 else bound, bound,
+                      math.nextafter(bound, 2.0)):
+                column = list(safe)
+                column[names.index(name)] = v
+                columns.append(column)
+        points = np.array(columns).T
+        got = kind.family.admits(points).tolist()
+        assert got == [_admissible(kind, tuple(column)) for column in columns]
+        assert True in got and False in got
+
+    @pytest.mark.parametrize("kind, values, bounds", [
+        # mean 0.75 and sd 0.25 put a three-point axis at 0, 0.75 and 1.5;
+        # mean -0.75 at -1.5, -0.75 and 0; mean 0.25 at -0.5, 0.25 and 1
+        (RateKind.EXPONENTIAL, {"a": 0.75, "b": -0.75}, (0.0, 0.0)),
+        (RateKind.POWER_LAW, {"a": 0.75, "b": -0.75}, (0.0, 0.0)),
+        (RateKind.HYPERBOLIC, {"a": 0.75, "b": 0.75, "c": 0.75}, (0.0, 0.0, 0.0)),
+        (RateKind.HYPERBOLIC, {"a": 0.75, "b": 0.25, "c": 0.75}, (0.0, 1.0, 0.0)),
+        (RateKind.AP_PRIOR, {"a": 0.75, "n_total": 600}, (0.0,)),
+    ])
+    def test_estimate_at_bounds(self, kind, values, bounds):
+        curve = make_curve(kind, (0.0625,) * len(bounds), **values)
+        for mu, bound in zip(curve.params.values(), bounds):
+            assert bound in np.linspace(mu - 0.75, mu + 0.75, 3).tolist()
+        TestCoxMatchesPerPointReference.assert_exact(curve, 10, 600, grid=3)
+
+
 class TestMixtureBlocks:
     """The block-summed mixture equals the one-component-at-a-time sum with
     ``==``, and its quantile equals one searched from the largest mass."""

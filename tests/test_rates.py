@@ -253,6 +253,15 @@ class TestFitRate:
         with pytest.raises(DegenerateDataError):
             fit_rate(pts, RateKind.EXPONENTIAL, 100)
 
+    @pytest.mark.parametrize("n_total, message", [
+        (50, r"defined on \[1, 50\]"), (1, "n_total >= 2"), (0, "n_total >= 2"),
+    ])
+    def test_ap_prior_inputs_checked(self, n_total, message):
+        # window centres run up to 95.5, past n_total = 50
+        pts = WindowedEstimates(np.arange(10) * 10.0 + 5.5, np.linspace(0.5, 0.1, 10), 10)
+        with pytest.raises(ValidationError, match=message):
+            fit_rate(pts, RateKind.AP_PRIOR, n_total)
+
     def test_constant_positive_observations_have_no_range(self):
         pts = WindowedEstimates(
             np.array([10.0, 20.0, 30.0, 40.0]), np.full(4, 0.25), 25
@@ -345,6 +354,21 @@ class TestRateParamsValidation:
     def test_ap_prior_needs_collection_size(self):
         with pytest.raises(ValidationError):
             RateParams(RateKind.AP_PRIOR, a=1.0)
+
+    @pytest.mark.parametrize("kind, values, message", [
+        (RateKind.EXPONENTIAL, {"a": math.nan, "b": -0.1}, "rate scale a must be > 0, got nan"),
+        (RateKind.EXPONENTIAL, {"a": math.inf, "b": -0.1}, "rate scale a must be finite, got inf"),
+        (RateKind.EXPONENTIAL, {"a": 0.5, "b": math.nan}, "exponential b must be finite, got nan"),
+        (RateKind.POWER_LAW, {"a": 0.5, "b": -math.inf}, "power b must be finite, got -inf"),
+        (RateKind.HYPERBOLIC, {"a": 0.5, "b": math.nan, "c": 0.01},
+         "hyperbolic b must be in [0, 1], got nan"),
+        (RateKind.HYPERBOLIC, {"a": 0.5, "b": 0.5, "c": math.inf},
+         "hyperbolic c must be finite, got inf"),
+    ])
+    def test_non_finite_values_rejected(self, kind, values, message):
+        with pytest.raises(ValidationError) as err:
+            RateParams(kind, **values)
+        assert str(err.value) == message
 
     def test_variance_arity_checked(self):
         p = RateParams(RateKind.EXPONENTIAL, a=0.5, b=-0.01)
