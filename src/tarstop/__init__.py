@@ -19,8 +19,6 @@ from .corpus import (
     RankedTopic,
     SyntheticSpec,
     generate_synthetic,
-    join,
-    join_all,
     parse_qrels,
     parse_run,
 )

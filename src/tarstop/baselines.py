@@ -94,7 +94,7 @@ def target_stop(
     last_hit = hits[config.target_size - 1]
     sampled = order[: last_hit + 1]
     k = int(sampled[relevant[: last_hit + 1].astype(bool)].max()) + 1
-    examined = int(np.union1d(sampled, np.arange(k)).size)
+    examined = k + int(np.count_nonzero(sampled >= k))  # sampled ranks are distinct
     return StoppingOutcome(
         method, topic.topic_id, k, examined, topic.relevant_in_prefix(k), hit_end=False
     )

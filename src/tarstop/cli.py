@@ -150,15 +150,16 @@ def _input_lines(path: Path, what: str) -> Iterator[str]:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
-def _parse_input(parse, path: Path, what: str, later: tuple = ()):
-    """``parse`` over the lines of ``path``, streamed from the file.
+def _parse_input(parse, path: Path, what: str, later: tuple = (), **kwargs):
+    """``parse(lines, **kwargs)`` over the lines of ``path``, streamed
+    from the file.
 
     Errors are reported as if every input were decoded whole before any
     is parsed: a malformed line wins only once the rest of its file, and
     each ``(path, what)`` in ``later``, is known to be readable UTF-8.
     """
     try:
-        return parse(_input_lines(path, what))
+        return parse(_input_lines(path, what), **kwargs)
     except ParseError as exc:
         if exc.line is None:  # the file could not be read; parsers name a line
             raise
@@ -168,9 +169,16 @@ def _parse_input(parse, path: Path, what: str, later: tuple = ()):
 
 
 def _load_topics(run_path: Path, qrels_path: Path) -> list[corpus.RankedTopic]:
-    run = _parse_input(corpus.parse_run, run_path, "run", ((qrels_path, "qrels"),))
-    qrels = _parse_input(corpus.parse_qrels, qrels_path, "qrels")
-    topics = corpus.join_all(run, qrels)
+    run_args = (corpus.parse_run, run_path, "run", ((qrels_path, "qrels"),))
+    # The qrels come first, so the run is labelled as it streams in. Errors
+    # rank as if the run came first: when the qrels are faulty, the run is
+    # parsed anyway, and an error it raises wins.
+    try:
+        qrels = _parse_input(corpus.parse_qrels, qrels_path, "qrels")
+    except ParseError:
+        _parse_input(*run_args, qrels={})
+        raise
+    topics = _parse_input(*run_args, qrels=qrels)
     if not topics:
         raise ParseError(f"{run_path}: run file contains no topics")
     return topics

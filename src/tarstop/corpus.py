@@ -10,10 +10,12 @@ per line, blank and ``#``-prefixed comment lines skipped):
 
 Both parsers take the whole text or any iterable of its lines (for
 example a file read lazily), so a caller need not hold the text at all.
-A parsed run maps each topic to its doc ids in rank order, so ranks are
-implicit and dense. Parsed qrels map each topic to a ``{doc_id: 0|1}``
-dict. Documents present in a run but absent from the qrels are treated
-as non-relevant, the standard pooling assumption.
+Parsed qrels map each topic to a ``{doc_id: 0|1}`` dict. The run is
+parsed after the qrels and labelled as its lines stream in: each topic
+becomes a ``RankedTopic`` of labels in rank order, so ranks are implicit
+and dense, and a topic's doc ids are held as a list only while its block
+of lines lasts. Documents present in a run but absent from the qrels are
+treated as non-relevant, the standard pooling assumption.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from operator import le
 
 import numpy as np
 
-from .errors import (
-    DuplicateEntryError,
-    ParseError,
-    TopicNotFoundError,
-    ValidationError,
-)
+from .errors import DuplicateEntryError, ParseError, ValidationError
 from .rates import RateKind, RateParams, rate_value
 
 SYNTHETIC_KINDS = (*(kind.value for kind in RateKind), "uniform")
@@ -157,21 +154,30 @@ def parse_qrels(source: str | Iterable[str]) -> dict[str, dict[str, int]]:
     return judged
 
 
-def parse_run(source: str | Iterable[str]) -> dict[str, list[str]]:
-    """Parse a TREC run, given as text or as its lines, into each topic's
-    doc ids in rank order: ``run[topic_id][r - 1]`` is the document at
-    dense rank r.
+def _labels(docs: list[str], judged: dict[str, int]) -> np.ndarray:
+    return np.fromiter(map(judged.get, docs, repeat(0)), dtype=bool, count=len(docs))
+
+
+def parse_run(
+    source: str | Iterable[str], qrels: dict[str, dict[str, int]]
+) -> list[RankedTopic]:
+    """Parse a TREC run, given as text or as its lines, and label it with
+    parsed qrels: one topic per run topic, sorted by topic id, whose
+    ``labels[r - 1]`` is the label of the document at dense rank r.
 
     Lines of a topic are ordered by their rank field; lines with equal
-    ranks keep their file order.
+    ranks keep their file order. A block of a topic's lines is labelled
+    when it ends, so only the current block's doc ids are held as a list.
     """
     from array import array  # loaded by the commands that parse a run only
 
-    # topic -> (doc ids, ranks), in file order; ranks are 64-bit machine
-    # integers unless a topic has one beyond that range
+    # topic -> (labels of its blocks, ranks), in file order; ranks are
+    # 64-bit machine integers unless a topic has one beyond that range
     by_topic: dict[str, tuple] = {}
-    # Doc ids seen, kept for the current topic's block only, and for the
-    # topics whose lines come back after another topic's.
+    # The doc ids of a topic's first block, joined by spaces (a doc id holds
+    # no whitespace), until the topic's lines come back after another
+    # topic's; from then on, the set of the topic's doc ids.
+    finished: dict[str, str] = {}
     revisited: dict[str, set[str]] = {}
     current = None
     for lineno, raw in enumerate(_lines(source), start=1):
@@ -193,6 +199,10 @@ def parse_run(source: str | Iterable[str]) -> dict[str, list[str]]:
         except ValueError:
             raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
         if topic != current:  # runs list a topic's lines together
+            if current is not None:
+                blocks.append(_labels(doc_ids, qrels.get(current, {})))
+                if current not in revisited:
+                    finished[current] = " ".join(doc_ids)
             current = topic
             if topic not in by_topic:
                 by_topic[topic] = ([], array("q"))
@@ -200,8 +210,9 @@ def parse_run(source: str | Iterable[str]) -> dict[str, list[str]]:
             elif topic in revisited:
                 seen = revisited[topic]
             else:
-                seen = revisited[topic] = set(by_topic[topic][0])
-            doc_ids, ranks = by_topic[topic]
+                seen = revisited[topic] = set(finished.pop(topic).split(" "))
+            blocks, ranks = by_topic[topic]
+            doc_ids = []
         if doc_id in seen:
             raise DuplicateEntryError(
                 f"doc {doc_id!r} listed twice for topic {topic!r}", lineno
@@ -212,36 +223,19 @@ def parse_run(source: str | Iterable[str]) -> dict[str, list[str]]:
             ranks.append(rank)
         except OverflowError:
             ranks = [*ranks, rank]
-            by_topic[topic] = (doc_ids, ranks)
+            by_topic[topic] = (blocks, ranks)
+    if current is not None:
+        blocks.append(_labels(doc_ids, qrels.get(current, {})))
 
-    run: dict[str, list[str]] = {}
-    for topic, (doc_ids, ranks) in by_topic.items():
+    topics = []
+    for topic in sorted(by_topic):
+        blocks, ranks = by_topic[topic]
+        labels = np.concatenate(blocks)
         if not all(map(le, ranks, islice(ranks, 1, None))):
             order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable on ties
-            doc_ids = [doc_ids[i] for i in order]
-        run[topic] = doc_ids
-    return run
-
-
-def join(
-    run: dict[str, list[str]], qrels: dict[str, dict[str, int]], topic_id: str
-) -> RankedTopic:
-    """Label one topic's ranking using the qrels."""
-    if topic_id not in run:
-        raise TopicNotFoundError(f"topic {topic_id!r} not present in run")
-    doc_ids = run[topic_id]
-    judged = qrels.get(topic_id, {})
-    labels = np.fromiter(
-        map(judged.get, doc_ids, repeat(0)), dtype=bool, count=len(doc_ids)
-    )
-    return RankedTopic(topic_id, labels)
-
-
-def join_all(
-    run: dict[str, list[str]], qrels: dict[str, dict[str, int]]
-) -> list[RankedTopic]:
-    """Join every topic in the run, sorted by topic id."""
-    return [join(run, qrels, t) for t in sorted(run)]
+            labels = labels[order]
+        topics.append(RankedTopic(topic, labels))
+    return topics
 
 
 def generate_synthetic(spec: SyntheticSpec) -> RankedTopic:

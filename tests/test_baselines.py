@@ -116,6 +116,24 @@ class TestTargetStop:
         out = target_stop(topic, TargetConfig(target_size=10, seed=17))
         assert out.stop_rank <= out.docs_examined <= topic.n
 
+    @pytest.mark.parametrize("n", [40, 700, 5000])
+    @pytest.mark.parametrize("target_size", [1, 3, 25])
+    def test_cost_is_the_union_of_sample_and_prefix(self, n, target_size):
+        # replay the draw and count the sampled ranks and the prefix as sets
+        for seed in range(5):
+            topic = generate_synthetic(
+                SyntheticSpec(n=n, kind="uniform", params={"a": 0.1}, seed=seed)
+            )
+            out = target_stop(topic, TargetConfig(target_size=target_size, seed=seed))
+            order = np.random.Generator(np.random.Philox(seed)).permutation(n)
+            hits = np.flatnonzero(topic.labels[order])
+            if hits.size < target_size:
+                assert out.docs_examined == n
+                continue
+            sampled = order[: hits[target_size - 1] + 1]
+            union = np.union1d(sampled, np.arange(out.stop_rank))
+            assert out.docs_examined == union.size
+
     def test_recall_guarantee_monte_carlo(self):
         # Appendix-style check: over many seeds, recall >= 0.7 must hold
         # in roughly 95% of runs when the target size comes from

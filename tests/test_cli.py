@@ -441,9 +441,9 @@ class TestStreamedInput:
         assert capsys.readouterr().err == _decode_message(path) + "\n"
         assert not (tmp_path / "o.json").exists()
 
-    # Both files bad: errors rank as if both files were decoded whole before
-    # either is parsed. A file that cannot be read or decoded wins over a
-    # malformed line; otherwise the run's error wins over the qrels'.
+    # Errors rank as if both files were decoded whole before either is
+    # parsed. A file that cannot be read or decoded wins over a malformed
+    # line, and otherwise the run's error wins over the qrels'.
     @pytest.mark.parametrize("case, expected", [
         ("bad run line, undecodable qrels", "qrels decode"),
         ("bad run line, missing qrels", "qrels missing"),
@@ -451,6 +451,9 @@ class TestStreamedInput:
         ("bad qrels line, undecodable qrels later", "qrels decode"),
         ("bad run line, bad qrels line", "run line"),
         ("undecodable run, undecodable qrels", "run decode"),
+        ("bad qrels line", "qrels line"),
+        ("bad qrels line, undecodable run", "run decode"),
+        ("missing qrels, missing run", "run missing"),
     ])
     def test_error_precedence(self, case, expected, tmp_path, capsys):
         run, qrels = _deep_files(tmp_path)
@@ -466,8 +469,12 @@ class TestStreamedInput:
         err = capsys.readouterr().err
         if expected.endswith("decode"):
             assert err == _decode_message(run if expected == "run decode" else qrels) + "\n"
-        elif expected == "qrels missing":
-            assert err.startswith(f"tarstop: cannot read qrels file {qrels}: ")
+        elif expected.endswith("missing"):
+            what, path = ("run", run) if expected == "run missing" else ("qrels", qrels)
+            assert err.startswith(f"tarstop: cannot read {what} file {path}: ")
+        elif expected == "qrels line":
+            assert err == (f"tarstop: {qrels}: line 2: expected 4 fields "
+                           "'topic iter docid rel', got 1\n")
         else:
             assert err == (f"tarstop: {run}: line 2: expected 6 fields "
                            "'topic Q0 docid rank score tag', got 1\n")
@@ -475,10 +482,12 @@ class TestStreamedInput:
     def test_load_memory_stays_near_the_columns(self, tmp_path):
         """Traced peak of loading 40k run lines and their qrels, per byte of input.
 
-        Measured 2.49 (Python 3.11) once scores were checked but not kept,
-        against 3.32 when each topic also held a score column, and 8.13 when
-        each file's text and line list were held whole. The bound is 2.49
-        plus 25%.
+        Measured 1.91 (Python 3.11) once the qrels were read first and each
+        block of a topic's run lines was labelled as it ended, against 2.49
+        when every doc id of the run was held until the qrels were read,
+        3.32 when each topic also held a score column, and 8.13 when each
+        file's text and line list were held whole. The bound is 1.91 plus
+        25%.
         """
         run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
         run_lines, qrels_lines = [], []
@@ -500,7 +509,7 @@ class TestStreamedInput:
         finally:
             tracemalloc.stop()
         assert [t.n for t in topics] == [10_000] * 4
-        assert peak < 3.1 * size, f"peak {peak} B is {peak / size:.2f} x the input"
+        assert peak < 2.39 * size, f"peak {peak} B is {peak / size:.2f} x the input"
 
 
 class TestCompareCommand:
@@ -559,14 +568,14 @@ class TestCompareCommand:
         # verify by replaying the library call with the CLI's seed derivation
         from tarstop import TargetConfig, target_stop
         from tarstop.cli import _topic_seed
-        from tarstop.corpus import join_all, parse_qrels, parse_run
+        from tarstop.corpus import parse_qrels, parse_run
 
         run, qrels = fixture_files
         out = tmp_path / "cmp.json"
         main(["compare", *flags(run, qrels), "--methods", "target-adapted",
               "--target-recall", "0.9", "--seed", "77", "--output", str(out)])
         payload = json.loads(out.read_text())
-        topics = join_all(parse_run(run.read_text()), parse_qrels(qrels.read_text()))
+        topics = parse_run(run.read_text(), parse_qrels(qrels.read_text()))
         rows = [r for r in payload["topics"] if r["method"] == "target-adapted"]
         for topic, row in zip(topics, rows):
             expected = target_stop(

@@ -1,4 +1,4 @@
-"""Parsing, joining, round-trips, and synthetic topic generation."""
+"""Parsing and labelling, round-trips, and synthetic topic generation."""
 
 import math
 import tempfile
@@ -16,21 +16,32 @@ from tarstop.corpus import (
     RankedTopic,
     SyntheticSpec,
     generate_synthetic,
-    join,
     parse_qrels,
     parse_run,
 )
 from tarstop.errors import (
     DuplicateEntryError,
     ParseError,
-    TopicNotFoundError,
     ValidationError,
 )
 
 
-def rows(run, topic):
-    """(doc_id, rank) per document of one topic; rank is the 1-based position."""
-    return [(d, rank) for rank, d in enumerate(run[topic], start=1)]
+def labels_of(topics):
+    """{topic id: labels in rank order} of a parsed run."""
+    return {t.topic_id: t.labels.tolist() for t in topics}
+
+
+def doc_order(text, topic):
+    """The topic's doc ids in rank order, read back from labels: each doc
+    in turn is judged the only relevant one."""
+    docs = [line.split()[2] for line in text.splitlines()
+            if line.split()[:1] == [topic]]
+    order = [None] * len(docs)
+    for doc in docs:
+        (labelled,) = [t for t in parse_run(text, {topic: {doc: 1}}) if t.topic_id == topic]
+        (rank,) = np.flatnonzero(labelled.labels)
+        order[rank] = doc
+    return order
 
 
 class TestParseQrels:
@@ -78,51 +89,58 @@ class TestParseQrels:
 
 class TestParseRun:
     def test_sorts_by_rank(self):
-        run = parse_run("T1 Q0 d2 2 0.5 x\nT1 Q0 d1 1 0.9 x")
-        assert rows(run, "T1") == [("d1", 1), ("d2", 2)]
+        text = "T1 Q0 d2 2 0.5 x\nT1 Q0 d1 1 0.9 x"
+        assert labels_of(parse_run(text, {"T1": {"d1": 1}})) == {"T1": [True, False]}
+        assert doc_order(text, "T1") == ["d1", "d2"]
 
     def test_empty_input(self):
-        assert parse_run("") == {}
+        assert parse_run("", {"T1": {"d1": 1}}) == []
 
     def test_duplicate_doc(self):
         with pytest.raises(DuplicateEntryError):
-            parse_run("T1 Q0 d1 1 0.9 x\nT1 Q0 d1 2 0.8 x")
+            parse_run("T1 Q0 d1 1 0.9 x\nT1 Q0 d1 2 0.8 x", {})
 
     def test_ranks_renumbered_densely(self):
-        run = parse_run("T1 Q0 d9 10 0.1 x\nT1 Q0 d5 5 0.5 x\nT1 Q0 d2 2 0.9 x")
-        assert rows(run, "T1") == [("d2", 1), ("d5", 2), ("d9", 3)]
+        text = "T1 Q0 d9 10 0.1 x\nT1 Q0 d5 5 0.5 x\nT1 Q0 d2 2 0.9 x"
+        assert doc_order(text, "T1") == ["d2", "d5", "d9"]
 
     def test_duplicate_doc_in_a_topic_that_comes_back(self):
         text = "T1 Q0 d1 1 0.9 x\nT2 Q0 d1 1 0.9 x\nT1 Q0 d2 2 0.8 x\nT1 Q0 d1 3 0.7 x"
         with pytest.raises(DuplicateEntryError, match="line 4"):
-            parse_run(text)
+            parse_run(text, {})
+
+    def test_duplicate_doc_after_a_topic_comes_back_twice(self):
+        text = ("T1 Q0 d1 1 0.9 x\nT2 Q0 d1 1 0.9 x\nT1 Q0 d2 2 0.8 x\n"
+                "T2 Q0 d2 2 0.8 x\nT1 Q0 d3 3 0.7 x\nT1 Q0 d2 4 0.6 x")
+        with pytest.raises(DuplicateEntryError, match="line 6"):
+            parse_run(text, {})
 
     def test_ranks_beyond_64_bits(self):
         big = 2 ** 64
-        run = parse_run(f"T1 Q0 a {big} 1 x\nT1 Q0 b 1 2 x\nT1 Q0 c {-big} 3 x")
-        assert run["T1"] == ["c", "b", "a"]
+        text = f"T1 Q0 a {big} 1 x\nT1 Q0 b 1 2 x\nT1 Q0 c {-big} 3 x"
+        assert doc_order(text, "T1") == ["c", "b", "a"]
 
     def test_non_numeric_rank(self):
         with pytest.raises(ParseError, match="rank"):
-            parse_run("T1 Q0 d1 one 0.9 x")
+            parse_run("T1 Q0 d1 one 0.9 x", {})
 
     def test_non_numeric_score(self):
         with pytest.raises(ParseError, match="score"):
-            parse_run("T1 Q0 d1 1 high x")
+            parse_run("T1 Q0 d1 1 high x", {})
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError, match="6 fields"):
-            parse_run("T1 Q0 d1 1 0.9")
+            parse_run("T1 Q0 d1 1 0.9", {})
 
     def test_round_trip_preserves_rank_order(self):
         text = "T1 Q0 d2 2 0.5 x\nT1 Q0 d1 1 0.9 x\nT2 Q0 a 7 3.0 x\n"
-        run = parse_run(text)
+        qrels = {"T1": {"d2": 1}, "T2": {"a": 1}}
         dense = "".join(
             f"{topic} Q0 {d} {rank} 0 x\n"
-            for topic, doc_ids in run.items()
-            for rank, d in enumerate(doc_ids, start=1)
+            for topic in ("T1", "T2")
+            for rank, d in enumerate(doc_order(text, topic), start=1)
         )
-        assert parse_run(dense) == run
+        assert labels_of(parse_run(dense, qrels)) == labels_of(parse_run(text, qrels))
 
     def test_doc_id_order_of_ties_gaps_and_interleaved_topics(self):
         # rank ties keep file order, rank gaps close up, topics interleave
@@ -137,30 +155,33 @@ class TestParseRun:
             "T1 Q0 a3 10 -0.5 run\n"
             "T1 Q0 a4 7 3.25 run\n"
         )
-        run = parse_run(text)
-        assert run == {"T2": ["b2", "b3", "b1"], "T1": ["a2", "a4", "a1", "a3"]}
-        assert list(run) == ["T2", "T1"]
+        assert doc_order(text, "T2") == ["b2", "b3", "b1"]
+        assert doc_order(text, "T1") == ["a2", "a4", "a1", "a3"]
+        assert [t.topic_id for t in parse_run(text, {})] == ["T1", "T2"]
 
 
-class TestJoin:
+class TestLabels:
     def test_missing_from_qrels_is_nonrelevant(self):
-        run = parse_run("T1 Q0 d1 1 3 x\nT1 Q0 d2 2 2 x\nT1 Q0 d3 3 1 x")
         qrels = parse_qrels("T1 0 d1 1")
-        topic = join(run, qrels, "T1")
+        (topic,) = parse_run("T1 Q0 d1 1 3 x\nT1 Q0 d2 2 2 x\nT1 Q0 d3 3 1 x", qrels)
         assert topic.labels.tolist() == [True, False, False]
         assert topic.total_relevant == 1
 
     def test_judged_nonrelevant(self):
-        run = parse_run("T1 Q0 d1 1 3 x")
-        qrels = parse_qrels("T1 0 d1 0")
-        topic = join(run, qrels, "T1")
+        (topic,) = parse_run("T1 Q0 d1 1 3 x", parse_qrels("T1 0 d1 0"))
         assert topic.labels.tolist() == [False]
         assert topic.total_relevant == 0
 
-    def test_absent_topic(self):
-        run = parse_run("T1 Q0 d1 1 3 x")
-        with pytest.raises(TopicNotFoundError):
-            join(run, parse_qrels(""), "T9")
+    def test_judgments_of_another_topic_do_not_apply(self):
+        (topic,) = parse_run("T1 Q0 d1 1 3 x", parse_qrels("T2 0 d1 1"))
+        assert topic.labels.tolist() == [False]
+
+    def test_labels_of_a_topic_that_comes_back(self):
+        text = ("T1 Q0 d3 3 1 x\nT2 Q0 d1 1 3 x\nT1 Q0 d1 1 3 x\n"
+                "T2 Q0 d2 2 2 x\nT1 Q0 d2 2 2 x\n")
+        qrels = parse_qrels("T1 0 d1 1\nT1 0 d3 1\nT2 0 d2 1\n")
+        assert labels_of(parse_run(text, qrels)) == {
+            "T1": [True, False, True], "T2": [False, True]}
 
     def test_relevant_count_never_exceeds_n(self, rng):
         for _ in range(20):
@@ -171,11 +192,7 @@ class TestJoin:
             lines_q = [
                 f"T 0 d{i} {rels[i - 1]}" for i in range(1, n + 1) if judged[i - 1]
             ]
-            topic = join(
-                parse_run("\n".join(lines_run)),
-                parse_qrels("\n".join(lines_q)),
-                "T",
-            )
+            (topic,) = parse_run("\n".join(lines_run), parse_qrels("\n".join(lines_q)))
             assert topic.total_relevant == int(topic.labels.sum()) <= topic.n
 
 
@@ -321,6 +338,17 @@ def _reference_parse_run(text: str) -> dict[str, list[_Entry]]:
     return topics
 
 
+def _reference_join(
+    run: dict[str, list[_Entry]], qrels: dict[str, dict[str, int]]
+) -> dict[str, list[bool]]:
+    """Each topic of a per-line parse labelled one document at a time,
+    sorted by topic id; documents missing from the qrels are non-relevant."""
+    return {
+        topic: [qrels.get(topic, {}).get(e.doc_id, 0) > 0 for e in run[topic]]
+        for topic in sorted(run)
+    }
+
+
 def _reference_parse_qrels(text: str) -> dict[tuple[str, str], int]:
     """The per-line qrels parser the per-topic parser replaced, kept as an oracle."""
     entries: dict[tuple[str, str], int] = {}
@@ -360,8 +388,12 @@ def _two_ways(text: str):
 _SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
 
 
+_TOPICS = ["T1", "T2", "t3"]
+_DOCS = [f"d{i}" for i in range(16)]
+
+
 @st.composite
-def _run_line(draw) -> str:
+def _run_line(draw, topic=None) -> str:
     kind = draw(st.sampled_from(
         ["record"] * 24 + ["comment", "blank", "short", "long", "bad rank", "bad score"]
     ))
@@ -377,8 +409,8 @@ def _run_line(draw) -> str:
         rank = draw(st.sampled_from(["x", "1.5", "1e3"]))
     if kind == "bad score":
         score = draw(st.sampled_from(["high", "0x1", "1,5"]))
-    topic = draw(st.sampled_from(["T1", "T2", "t3"]))
-    doc = draw(st.sampled_from([f"d{i}" for i in range(16)]))
+    topic = topic or draw(st.sampled_from(_TOPICS))
+    doc = draw(st.sampled_from(_DOCS))
     fields = [topic, "Q0", doc, rank, score, "tag"]
     if kind == "short":
         del fields[draw(st.integers(0, 5))]
@@ -388,16 +420,30 @@ def _run_line(draw) -> str:
     return lead + draw(_SPACE).join(fields)
 
 
+@st.composite
+def _run_blocks(draw) -> list[str]:
+    """Lines in blocks of one topic each, so a topic's lines come back
+    after another topic's."""
+    lines = []
+    for topic in draw(st.lists(st.sampled_from(_TOPICS), max_size=6)):
+        lines += draw(st.lists(_run_line(topic), min_size=1, max_size=4))
+    return lines
+
+
 def _text_of(lines):
     return st.builds(
         lambda lines, sep, tail: sep.join(lines) + tail,
-        st.lists(lines, max_size=15),
+        lines,
         st.sampled_from(["\n", "\r\n", "\n\n"]),
         st.sampled_from(["", "\n"]),
     )
 
 
-_run_text = _text_of(_run_line())
+_run_text = st.one_of(_text_of(st.lists(_run_line(), max_size=15)), _text_of(_run_blocks()))
+_judgments = st.dictionaries(
+    st.sampled_from([*_TOPICS, "T9"]),
+    st.dictionaries(st.sampled_from(_DOCS), st.sampled_from([0, 1])),
+)
 
 
 @st.composite
@@ -412,8 +458,8 @@ def _qrels_line(draw) -> str:
     rel = draw(st.integers(-2, 3).map(str))
     if kind == "bad rel":
         rel = draw(st.sampled_from(["x", "1.0", "yes"]))
-    topic = draw(st.sampled_from(["T1", "T2", "t3"]))
-    doc = draw(st.sampled_from([f"d{i}" for i in range(16)]))
+    topic = draw(st.sampled_from(_TOPICS))
+    doc = draw(st.sampled_from(_DOCS))
     fields = [topic, draw(st.sampled_from(["0", "Q0"])), doc, rel]
     if kind == "short":
         del fields[draw(st.integers(0, 3))]
@@ -423,7 +469,7 @@ def _qrels_line(draw) -> str:
     return lead + draw(_SPACE).join(fields)
 
 
-_qrels_text = _text_of(_qrels_line())
+_qrels_text = _text_of(st.lists(_qrels_line(), max_size=15))
 
 
 _VALID_RUN = "".join(f"T Q0 d{r} {r} {1 - r / 100} x\n" for r in range(1, 41))
@@ -442,18 +488,18 @@ def _mangled(draw, data: bytes) -> bytes:
 
 class TestParserProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_run_text)
-    def test_parse_run_matches_per_line_reference(self, text):
+    @given(_run_text, _judgments)
+    def test_parse_run_matches_per_line_reference(self, text, qrels):
         expected = _outcome(_reference_parse_run, text)
         if isinstance(expected, dict):
-            expected = {t: [e[:2] for e in entries] for t, entries in expected.items()}
+            expected = _reference_join(expected, qrels)
         for source in _two_ways(text):
-            run = _outcome(parse_run, source)
+            run = _outcome(lambda lines: parse_run(lines, qrels), source)
             if isinstance(run, tuple):  # an error: type, line and message
                 assert run == expected
             else:
-                assert {t: rows(run, t) for t in run} == expected
-                assert list(run) == list(expected)
+                assert labels_of(run) == expected
+                assert [t.topic_id for t in run] == list(expected)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_qrels_text)
