@@ -10,8 +10,9 @@ Subcommands:
 Outputs are CSV or JSON, written only after the whole computation
 succeeds (no partial files). Every command is deterministic given its
 flags and seed; randomized methods default to a fixed seed rather than
-wall-clock entropy. Exit codes: 0 success, 2 usage/configuration error,
-3 input parse error, 4 numeric failure.
+wall-clock entropy. Exit codes: 0 success, 2 usage/configuration error
+(an output file that cannot be written included), 3 input parse error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -41,51 +43,64 @@ DEFAULT_SEED = 1729
 # Characters of whole lines per block when streaming a run or qrels file.
 _READ_HINT = 1 << 16
 
+# Flag value -> config value; help and errors list the names in map order.
 RATE_NAMES = {
+    "ap": RateKind.AP_PRIOR,
     "exp": RateKind.EXPONENTIAL,
     "hyp": RateKind.HYPERBOLIC,
     "pow": RateKind.POWER_LAW,
-    "ap": RateKind.AP_PRIOR,
 }
 PROCESS_NAMES = {
-    "ip": ProcessKind.INHOMOGENEOUS_POISSON,
     "cox": ProcessKind.COX,
+    "ip": ProcessKind.INHOMOGENEOUS_POISSON,
 }
 BATCH_NAMES = {
-    "uniform": stopping.BatchSchedule.UNIFORM_FRACTION,
     "autotar": stopping.BatchSchedule.AUTOTAR,
+    "uniform": stopping.BatchSchedule.UNIFORM_FRACTION,
 }
-MINREL_NAMES = ("static10", "static20", "dynamic")
+MINREL_NAMES = {
+    "static10": stopping.StaticMinRel(10),
+    "static20": stopping.StaticMinRel(20),
+    "dynamic": stopping.DynamicMinRel(),
+}
 COMPARE_METHODS = ("ip", "cox", "oracle", "target", "target-adapted", "knee")
 
+# The axes of sweep's grid, in the order of its row columns: flag, row
+# column, StoppingConfig field, name map (None for a number), default.
+_SWEEP_AXES = (
+    ("--processes", "process", "process", PROCESS_NAMES, "ip"),
+    ("--rates", "rate", "rate_kind", RATE_NAMES, "exp,hyp,pow,ap"),
+    ("--nrmse-thresholds", "nrmse_threshold", "nrmse_threshold", None, "0.1"),
+    ("--min-rel-rules", "min_rel", "min_rel_rule", MINREL_NAMES, "dynamic"),
+    ("--target-recalls", "target_recall", "target_recall", None, "0.9"),
+    ("--confidences", "confidence", "confidence", None, "0.95"),
+)
 
-def _min_rel_rule(name: str) -> stopping.MinRelRule:
-    if name == "dynamic":
-        return stopping.DynamicMinRel()
-    if name == "static10":
-        return stopping.StaticMinRel(10)
-    if name == "static20":
-        return stopping.StaticMinRel(20)
-    raise ConfigError(f"unknown min-rel rule {name!r}; expected one of {MINREL_NAMES}")
 
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("stopping configuration")
-    g.add_argument("--target-recall", type=float, default=0.9, metavar="L")
-    g.add_argument("--confidence", type=float, default=0.95, metavar="P")
+def _add_screening_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of how a config screens and fits, read by ``_config_from_args``."""
+    g = parser.add_argument_group("screening")
     g.add_argument("--alpha", type=float, default=0.025,
                    help="initial screened fraction (default 0.025)")
     g.add_argument("--beta", type=float, default=0.025,
                    help="screened fraction added per checkpoint (default 0.025)")
-    g.add_argument("--rate", choices=sorted(RATE_NAMES), default="hyp")
-    g.add_argument("--process", choices=sorted(PROCESS_NAMES), default="ip")
-    g.add_argument("--nrmse-threshold", type=float, default=0.1)
-    g.add_argument("--min-rel", choices=MINREL_NAMES, default="dynamic")
-    g.add_argument("--batch", choices=sorted(BATCH_NAMES), default="uniform")
+    g.add_argument("--batch", choices=BATCH_NAMES, default="uniform")
     g.add_argument("--window", type=int, default=25,
                    help="ranks per estimation window (default 25)")
     g.add_argument("--cox-grid", type=int, default=9,
                    help="grid points per parameter for the cox mixture")
+
+
+def _add_policy_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
+    """Flags of when a config stops, read by ``_policy_config``. Sweep takes
+    them as the axes of its grid instead."""
+    g = parser.add_argument_group("stopping policy")
+    g.add_argument("--target-recall", type=float, default=0.9, metavar="L")
+    g.add_argument("--confidence", type=float, default=0.95, metavar="P")
+    g.add_argument("--rate", choices=RATE_NAMES, default="hyp")
+    g.add_argument("--nrmse-threshold", type=float, default=0.1)
+    g.add_argument("--min-rel", choices=MINREL_NAMES, default="dynamic")
+    return g
 
 
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
@@ -96,25 +111,33 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
                         help="accepted for compatibility; has no effect "
                              "(topics run one after another)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"base seed for randomized methods (default {DEFAULT_SEED})")
+                        help="base seed of the target and target-adapted samples; "
+                             f"accepted and unused elsewhere (default {DEFAULT_SEED})")
 
 
-def _config_from_args(args: argparse.Namespace, **overrides) -> stopping.StoppingConfig:
-    kwargs = dict(
-        target_recall=args.target_recall,
-        confidence=args.confidence,
+def _config_from_args(args: argparse.Namespace, **policy) -> stopping.StoppingConfig:
+    """The config of the screening flags and the given policy fields."""
+    return stopping.StoppingConfig(
         alpha=args.alpha,
         beta=args.beta,
-        process=PROCESS_NAMES[args.process],
+        batch_schedule=BATCH_NAMES[args.batch],
+        window_size=args.window,
+        cox_grid=args.cox_grid,
+        **policy,
+    )
+
+
+def _policy_config(args: argparse.Namespace, process: str) -> stopping.StoppingConfig:
+    """The config of the screening and policy flags, with ``process``."""
+    return _config_from_args(
+        args,
+        process=PROCESS_NAMES[process],
+        target_recall=args.target_recall,
+        confidence=args.confidence,
         rate_kind=RATE_NAMES[args.rate],
         nrmse_threshold=args.nrmse_threshold,
-        min_rel_rule=_min_rel_rule(args.min_rel),
-        window_size=args.window,
-        batch_schedule=BATCH_NAMES[args.batch],
-        cox_grid=args.cox_grid,
+        min_rel_rule=MINREL_NAMES[args.min_rel],
     )
-    kwargs.update(overrides)
-    return stopping.StoppingConfig(**kwargs)
 
 
 def _read_input(path: Path, what: str) -> str:
@@ -250,9 +273,8 @@ def _outcome_record(outcome: stopping.StoppingOutcome, with_traces: bool) -> dic
 
 
 def _metrics_record(tm: metrics.TopicMetrics) -> dict:
+    """A topic row's metric columns, which follow the columns naming it."""
     return {
-        "topic": tm.topic_id,
-        "method": tm.method,
         "recall": tm.recall,
         "cost": tm.cost,
         "hit_target": tm.hit_target,
@@ -263,9 +285,9 @@ def _metrics_record(tm: metrics.TopicMetrics) -> dict:
     }
 
 
-def _aggregate_record(method: str, cm: metrics.CollectionMetrics) -> dict:
+def _aggregate_record(cm: metrics.CollectionMetrics) -> dict:
+    """An aggregate row's columns, which follow the columns naming it."""
     return {
-        "method": method,
         "topics": cm.topics,
         "reliability": cm.reliability,
         "recall_mean": cm.recall.mean, "recall_std": cm.recall.std,
@@ -300,15 +322,27 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(text: str, output: Path | None) -> None:
+def _emit(text: str, output: Path | None, agg_text: str | None = None) -> None:
+    """``text`` to ``output`` (stdout when None) and ``agg_text`` beside it;
+    a file that cannot be written removes those written before it."""
     if output is None:
         sys.stdout.write(text)
-    else:
-        output.write_text(text, encoding="utf-8")
+        return
+    written = []
+    try:
+        for path, content in ((output, text), (_agg_path(output), agg_text)):
+            if content is not None:
+                with open(path, "w", encoding="utf-8") as f:
+                    written.append(path)
+                    f.write(content)
+    except OSError as exc:
+        for done in written:
+            done.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from None
 
 
 def _agg_path(output: Path) -> Path:
-    return output.with_name(output.stem + ".agg" + output.suffix)
+    return output.parent / f"{output.stem}.agg{output.suffix}"  # "." has no name to replace
 
 
 def _print_aggregate_table(agg_rows: list[dict]) -> None:
@@ -334,25 +368,17 @@ def _run_method(
     args: argparse.Namespace,
 ) -> stopping.StoppingOutcome:
     if method in ("ip", "cox"):
-        config = _config_from_args(args, process=PROCESS_NAMES[method])
+        config = _policy_config(args, method)
         return stopping.run_stopping(topic, config)
     if method == "oracle":
         return baselines.oracle_stop(topic, args.target_recall)
-    if method == "target":
-        tc = baselines.TargetConfig(
-            target_size=args.target_size,
-            seed=_topic_seed(args.seed, topic.topic_id, "target"),
-        )
-        return baselines.target_stop(topic, tc, method="target")
-    if method == "target-adapted":
-        # the size formula diverges at recall 1; use the 0.99 convention
-        level = min(args.target_recall, 0.99)
-        size = baselines.adapted_target_size(level, args.confidence)
-        tc = baselines.TargetConfig(
-            target_size=size,
-            seed=_topic_seed(args.seed, topic.topic_id, "target-adapted"),
-        )
-        return baselines.target_stop(topic, tc, method="target-adapted")
+    if method in ("target", "target-adapted"):
+        size = args.target_size
+        if method == "target-adapted":  # the formula diverges at recall 1: use 0.99
+            size = baselines.adapted_target_size(min(args.target_recall, 0.99), args.confidence)
+        seed = _topic_seed(args.seed, topic.topic_id, method)
+        tc = baselines.TargetConfig(target_size=size, seed=seed)
+        return baselines.target_stop(topic, tc, method=method)
     if method == "knee":
         kc = baselines.KneeConfig(
             rho_threshold=args.rho,
@@ -383,6 +409,7 @@ def _compare_over_topics(
     args: argparse.Namespace,
 ) -> tuple[list[dict], list[dict]]:
     """Per-topic metric rows and aggregate rows, sorted."""
+    _policy_config(args, "ip")  # every config flag is checked, whichever method reads it
     return _metric_rows([
         metrics.topic_metrics(_run_method(method, topic, args), topic, args.target_recall)
         for topic in topics
@@ -393,11 +420,13 @@ def _compare_over_topics(
 def _metric_rows(results: list[metrics.TopicMetrics]) -> tuple[list[dict], list[dict]]:
     """Topic rows sorted by (topic, method), and one aggregate row per method."""
     results = sorted(results, key=lambda tm: (tm.topic_id, tm.method))
-    topic_rows = [_metrics_record(tm) for tm in results]
+    topic_rows = [
+        {"topic": tm.topic_id, "method": tm.method, **_metrics_record(tm)} for tm in results
+    ]
     agg_rows = []
     for method in sorted({tm.method for tm in results}):
         group = [tm for tm in results if tm.method == method]
-        agg_rows.append(_aggregate_record(method, metrics.aggregate(group)))
+        agg_rows.append({"method": method, **_aggregate_record(metrics.aggregate(group))})
     return topic_rows, agg_rows
 
 
@@ -416,9 +445,7 @@ def _write_metrics_outputs(
         payload = {"aggregates": agg_rows, "topics": topic_rows}
         _emit(_json_text(payload), args.output)
     else:
-        _emit(_csv_text(topic_rows), args.output)
-        if args.output is not None:
-            _agg_path(args.output).write_text(_csv_text(agg_rows), encoding="utf-8")
+        _emit(_csv_text(topic_rows), args.output, _csv_text(agg_rows))
     if args.output is not None:
         _print_aggregate_table(agg_rows)
 
@@ -428,7 +455,7 @@ def _write_metrics_outputs(
 
 def _cmd_stop(args: argparse.Namespace) -> int:
     topics = _load_topics(args.run, args.qrels)
-    config = _config_from_args(args)
+    config = _policy_config(args, args.process)
     outcomes = [stopping.run_stopping(topic, config) for topic in topics]
     outcomes.sort(key=lambda o: o.topic_id)
     as_json = args.format == "json"
@@ -526,21 +553,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _list_flag(raw: str, valid: tuple[str, ...], flag: str) -> list[str]:
-    names = [v.strip() for v in raw.split(",") if v.strip()]
-    for name in names:
-        if name not in valid:
-            raise ConfigError(f"{flag}: unknown value {name!r}; expected {valid}")
-    if not names:
-        raise ConfigError(f"{flag}: at least one value required")
-    return names
-
-
-def _float_list(raw: str, flag: str) -> list[float]:
-    try:
-        values = [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
+def _axis_values(raw: str, flag: str, names: dict | None) -> list:
+    """The comma-separated values of one sweep axis: keys of ``names``, or
+    finite numbers when it is None."""
+    values = []
+    for entry in (v for v in raw.split(",") if v.strip()):
+        if names is None:
+            try:
+                value = float(entry)
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from exc
+            if not math.isfinite(value):  # no strict-JSON row could hold it
+                raise ConfigError(f"{flag}: value {entry.strip()!r} is not finite")
+        elif (value := entry.strip()) not in names:
+            raise ConfigError(f"{flag}: unknown value {value!r}; expected {tuple(names)}")
+        values.append(value)
     if not values:
         raise ConfigError(f"{flag}: at least one value required")
     return values
@@ -567,68 +594,34 @@ def _mark_pareto(agg_rows: list[dict]) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    processes = _list_flag(args.processes, tuple(sorted(PROCESS_NAMES)), "--processes")
-    rates = _list_flag(args.rates, tuple(sorted(RATE_NAMES)), "--rates")
-    minrels = _list_flag(args.min_rel_rules, MINREL_NAMES, "--min-rel-rules")
-    thresholds = _float_list(args.nrmse_thresholds, "--nrmse-thresholds")
-    levels = _float_list(args.target_recalls, "--target-recalls")
-    confidences = _float_list(args.confidences, "--confidences")
-
-    combos = [
-        (proc, rate, thr, mr, level, conf)
-        for proc in processes
-        for rate in rates
-        for thr in thresholds
-        for mr in minrels
-        for level in levels
-        for conf in confidences
-    ]
-    if len(combos) > 10_000:
-        raise ConfigError(
-            f"grid of {len(combos)} combinations exceeds the 10000 limit"
-        )
-
+    points = list(itertools.product(*(
+        _axis_values(getattr(args, flag[2:].replace("-", "_")), flag, names)
+        for flag, _, _, names, _ in _SWEEP_AXES
+    )))
+    if len(points) > 10_000:
+        raise ConfigError(f"grid of {len(points)} combinations exceeds the 10000 limit")
     topics = _load_topics(args.run, args.qrels)
+    # every point's config is checked before any topic is screened
     configs = [
-        _config_from_args(
-            args,
-            process=PROCESS_NAMES[proc],
-            rate_kind=RATE_NAMES[rate],
-            nrmse_threshold=thr,
-            min_rel_rule=_min_rel_rule(mr),
-            target_recall=level,
-            confidence=conf,
-        )
-        for proc, rate, thr, mr, level, conf in combos
+        _config_from_args(args, **{
+            field: value if names is None else names[value]
+            for (_, _, field, names, _), value in zip(_SWEEP_AXES, point)
+        })
+        for point in points
     ]
-
-    per_topic = [
-        [
-            metrics.topic_metrics(
-                stopping.run_stopping(topic, config), topic, config.target_recall
-            )
-            for config in configs
+    columns = [column for _, column, *_ in _SWEEP_AXES]
+    topic_rows, agg_rows = [], []
+    for point, config in zip(points, configs):
+        keys = dict(zip(columns, point))
+        group = [
+            metrics.topic_metrics(stopping.run_stopping(topic, config), topic, config.target_recall)
+            for topic in topics
         ]
-        for topic in topics
-    ]
-
-    combo_keys = ["process", "rate", "nrmse_threshold", "min_rel", "target_recall", "confidence"]
-    topic_rows = []
-    agg_rows = []
-    for c, combo in enumerate(combos):
-        combo_dict = dict(zip(combo_keys, combo))
-        group = sorted((tms[c] for tms in per_topic), key=lambda tm: tm.topic_id)
-        for tm in group:
-            row = dict(combo_dict)
-            row.update(_metrics_record(tm))
-            del row["method"]
-            topic_rows.append(row)
-        agg = _aggregate_record("", metrics.aggregate(group))
-        del agg["method"]
-        agg_rows.append({**combo_dict, **agg})
+        topic_rows += [{**keys, "topic": tm.topic_id, **_metrics_record(tm)} for tm in group]
+        agg_rows.append({**keys, **_aggregate_record(metrics.aggregate(group))})
     _mark_pareto(agg_rows)
-    topic_rows.sort(key=lambda r: tuple(str(r[k]) for k in combo_keys + ["topic"]))
-    agg_rows.sort(key=lambda r: tuple(str(r[k]) for k in combo_keys))
+    topic_rows.sort(key=lambda r: tuple(str(r[k]) for k in columns + ["topic"]))
+    agg_rows.sort(key=lambda r: tuple(str(r[k]) for k in columns))
     _write_metrics_outputs(args, topic_rows, agg_rows)
     return 0
 
@@ -721,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stop.add_argument("--qrels", type=Path, required=True)
     p_stop.add_argument("--trace", action="store_true",
                         help="include per-checkpoint traces (json only)")
-    _add_config_flags(p_stop)
+    _add_screening_flags(p_stop)
+    _add_policy_flags(p_stop).add_argument("--process", choices=PROCESS_NAMES, default="ip")
     _add_io_flags(p_stop)
     p_stop.set_defaults(func=_cmd_stop)
 
@@ -743,20 +737,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample size for the plain target method")
     p_cmp.add_argument("--rho", type=float, default=6.0,
                        help="knee slope-ratio threshold")
-    _add_config_flags(p_cmp)
+    _add_screening_flags(p_cmp)
+    _add_policy_flags(p_cmp)
     _add_io_flags(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="grid-search stopping configurations")
     p_sweep.add_argument("--run", type=Path, required=True)
     p_sweep.add_argument("--qrels", type=Path, required=True)
-    p_sweep.add_argument("--processes", default="ip")
-    p_sweep.add_argument("--rates", default="exp,hyp,pow,ap")
-    p_sweep.add_argument("--nrmse-thresholds", default="0.1")
-    p_sweep.add_argument("--min-rel-rules", default="dynamic")
-    p_sweep.add_argument("--target-recalls", default="0.9")
-    p_sweep.add_argument("--confidences", default="0.95")
-    _add_config_flags(p_sweep)
+    axes = p_sweep.add_argument_group("grid axes (comma lists)")
+    for flag, column, _, names, default in _SWEEP_AXES:
+        of = f" of {{{','.join(names)}}}" if names else ""
+        axes.add_argument(flag, default=default, metavar="LIST",
+                          help=f"{column} values{of} (default {default})")
+    _add_screening_flags(p_sweep)
     _add_io_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -766,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--methods", default="ip,oracle")
     p_sim.add_argument("--target-size", type=int, default=10)
     p_sim.add_argument("--rho", type=float, default=6.0)
-    _add_config_flags(p_sim)
+    _add_screening_flags(p_sim)
+    _add_policy_flags(p_sim)
     _add_io_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

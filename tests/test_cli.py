@@ -638,6 +638,150 @@ class TestSweepCommand:
                      "--nrmse-thresholds", thresholds]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--nrmse-thresholds", "0.1,inf"),  # exited 4, as a non-finite metric
+        ("--nrmse-thresholds", "1e400"),
+        ("--target-recalls", "nan"),
+        ("--confidences", "0.9, -inf"),
+    ])
+    def test_non_finite_axis_value_exit_2(self, fixture_files, tmp_path, capsys, flag, values):
+        run, qrels = fixture_files
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", *flags(run, qrels), flag, values, "--output", str(out)]) == 2
+        assert f"tarstop: {flag}: value " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--processes", "ip,xx", "--processes: unknown value 'xx'; expected ('cox', 'ip')"),
+        ("--rates", "exp, bad", "--rates: unknown value 'bad'; "
+                                "expected ('ap', 'exp', 'hyp', 'pow')"),
+        ("--min-rel-rules", "x", "--min-rel-rules: unknown value 'x'; "
+                                 "expected ('static10', 'static20', 'dynamic')"),
+        ("--rates", " , ", "--rates: at least one value required"),
+        ("--confidences", "0.9,abc",
+         "--confidences: could not convert string to float: 'abc'"),
+    ])
+    def test_faulty_axis_exit_2(self, fixture_files, capsys, flag, values, message):
+        run, qrels = fixture_files
+        assert main(["sweep", *flags(run, qrels), flag, values]) == 2
+        assert capsys.readouterr().err == f"tarstop: {message}\n"
+
+
+class TestFlagSurface:
+    """Each subcommand takes only the flags it reads."""
+
+    IO = {"-h", "--help", "--format", "--output", "--jobs", "--seed"}
+    SCREENING = {"--alpha", "--beta", "--batch", "--window", "--cox-grid"}
+    POLICY = {"--target-recall", "--confidence", "--rate", "--nrmse-threshold", "--min-rel"}
+    INPUTS = {"--run", "--qrels"}
+    AXES = {"--processes", "--rates", "--nrmse-thresholds", "--min-rel-rules",
+            "--target-recalls", "--confidences"}
+    METHODS = {"--methods", "--target-size", "--rho"}
+    EXPECTED = {
+        "stop": INPUTS | {"--trace", "--process"} | SCREENING | POLICY | IO,
+        "evaluate": INPUTS | {"--outcomes", "--target-recall"} | IO,
+        "compare": INPUTS | METHODS | SCREENING | POLICY | IO,
+        "sweep": INPUTS | AXES | SCREENING | IO,
+        "simulate": {"--spec"} | METHODS | SCREENING | POLICY | IO,
+    }
+
+    @staticmethod
+    def subparsers() -> dict:
+        parser = cli.build_parser()
+        return next(a for a in parser._actions if a.choices and "stop" in a.choices).choices
+
+    def test_option_set_of_each_subcommand(self):
+        subparsers = self.subparsers()
+        assert set(subparsers) == set(self.EXPECTED)
+        for name, sub in subparsers.items():
+            options = {o for action in sub._actions for o in action.option_strings}
+            assert options == self.EXPECTED[name], name
+        slots = sum(len(sub._actions) - 1 for sub in subparsers.values())  # bar --help
+        assert slots == 80
+
+    @pytest.mark.parametrize("command", ["compare", "simulate"])
+    def test_process_flag_refused(self, command, fixture_files, spec_file, capsys):
+        # the method names set the process, so the flag would be ignored
+        run, qrels = fixture_files
+        inputs = (["--spec", str(spec_file)] if command == "simulate"
+                  else ["--run", str(run), "--qrels", str(qrels)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--process", "cox"])
+        assert exc.value.code == 2
+        assert "--process" in capsys.readouterr().err
+
+    def test_sweep_reads_a_singular_spelling_as_its_axis(self, fixture_files, tmp_path):
+        # argparse's prefix matching: --rate means --rates once --rate is gone
+        run, qrels = fixture_files
+        base = ["sweep", "--run", str(run), "--qrels", str(qrels), "--alpha", "0.1",
+                "--beta", "0.1", "--window", "10", "--format", "csv"]
+        singular, plural = tmp_path / "singular.csv", tmp_path / "plural.csv"
+        assert main([*base, "--rate", "exp", "--target-recall", "0.8",
+                     "--output", str(singular)]) == 0
+        assert main([*base, "--rates", "exp", "--target-recalls", "0.8",
+                     "--output", str(plural)]) == 0
+        assert singular.read_bytes() == plural.read_bytes()
+        assert (tmp_path / "singular.agg.csv").read_bytes() == (
+            tmp_path / "plural.agg.csv").read_bytes()
+        assert len(singular.read_text().splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_help_renders(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: tarstop {command} ")
+
+    @pytest.mark.parametrize("command, methods, flag, value", [
+        # each was a traceback: a baseline read the value unchecked
+        ("compare", "target-adapted", "--confidence", "1.5"),
+        ("compare", "knee", "--target-recall", "0"),
+        ("simulate", "target", "--target-recall", "0"),
+        # read by no method run, but still a faulty config
+        ("compare", "oracle", "--nrmse-threshold", "-1"),
+    ])
+    def test_config_checked_whichever_method_runs(
+        self, command, methods, flag, value, fixture_files, spec_file, capsys
+    ):
+        run, qrels = fixture_files
+        inputs = (["--spec", str(spec_file)] if command == "simulate"
+                  else ["--run", str(run), "--qrels", str(qrels)])
+        assert main([command, *inputs, "--methods", methods, flag, value]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+
+
+class TestOutputFile:
+    """An output that cannot be written exits 2 and leaves no file."""
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_exit_2(self, where, fixture_files, tmp_path, capsys):
+        run, qrels = fixture_files
+        out = tmp_path / "missing" / "out.json"
+        if where == "directory":
+            out = tmp_path / "out.json"
+            out.mkdir()
+        assert main(["stop", *flags(run, qrels), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tarstop: cannot write output file {out}: ")
+        assert "Traceback" not in err
+        left = ["out.json", "qrels.txt", "run.txt"] if where == "directory" else [
+            "qrels.txt", "run.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+    def test_unwritable_aggregate_removes_the_topic_rows(self, fixture_files, tmp_path, capsys):
+        run, qrels = fixture_files
+        out = tmp_path / "cmp.csv"
+        (tmp_path / "cmp.agg.csv").mkdir()
+        assert main(["compare", *flags(run, qrels), "--methods", "oracle",
+                     "--format", "csv", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"tarstop: cannot write output file {tmp_path / 'cmp.agg.csv'}: ")
+        assert captured.out == ""  # no summary table either
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cmp.agg.csv", "qrels.txt", "run.txt"]
+
 
 class TestSimulateCommand:
     def test_rows_and_effectiveness(self, spec_file, tmp_path, capsys):
