@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import io
 import itertools
@@ -351,9 +352,7 @@ def _print_aggregate_table(agg_rows: list[dict]) -> None:
     header = keys + ["topics", "reliability", "recall", "cost", "loss_er"]
     print("  ".join(f"{h:>14}" for h in header))
     for row in agg_rows:
-        cells = [str(row[k]) for k in keys]
-        cells.append(str(row["topics"]))
-        cells.append(f"{row['reliability']:.3f}")
+        cells = [*(str(row[k]) for k in keys), str(row["topics"]), f"{row['reliability']:.3f}"]
         for m in ("recall", "cost", "loss_er"):
             cells.append(f"{row[f'{m}_mean']:.3f}±{row[f'{m}_std']:.3f}")
         print("  ".join(f"{c:>14}" for c in cells))
@@ -368,8 +367,7 @@ def _run_method(
     args: argparse.Namespace,
 ) -> stopping.StoppingOutcome:
     if method in ("ip", "cox"):
-        config = _policy_config(args, method)
-        return stopping.run_stopping(topic, config)
+        return stopping.run_stopping(topic, _policy_config(args, method))
     if method == "oracle":
         return baselines.oracle_stop(topic, args.target_recall)
     if method in ("target", "target-adapted"):
@@ -769,6 +767,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # glibc raises its mmap threshold to the size of each large block it
+    # frees; the heap then fragments by layout, and the peak resident set
+    # moves by megabytes with, say, a path's length. Keep glibc's default.
+    if sys.platform == "linux" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
+        libc.mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
