@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import hashlib
 import io
 import itertools
 import json
@@ -209,7 +208,11 @@ def _load_topics(run_path: Path, qrels_path: Path) -> list[corpus.RankedTopic]:
 
 
 def _topic_seed(base: int, topic_id: str, method: str) -> int:
-    # Stable across platforms and process pools, unlike hash().
+    # Stable across platforms and process pools, unlike hash(). hashlib loads
+    # OpenSSL (about 3.4 MiB resident), which no command but one that runs a
+    # target method needs.
+    import hashlib
+
     digest = hashlib.sha256(f"{base}:{method}:{topic_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 

@@ -10,19 +10,23 @@ per line, blank and ``#``-prefixed comment lines skipped):
 
 Both parsers take the whole text or any iterable of its lines (for
 example a file read lazily), so a caller need not hold the text at all.
-Parsed qrels map each topic to a ``{doc_id: 0|1}`` dict. The run is
-parsed after the qrels and labelled as its lines stream in: each topic
-becomes a ``RankedTopic`` of labels in rank order, so ranks are implicit
-and dense, and a topic's doc ids are held as a list only while its block
-of lines lasts. Documents present in a run but absent from the qrels are
-treated as non-relevant, the standard pooling assumption.
+Labelling reads only which documents are relevant, so parsed qrels map
+each topic to the frozenset of its relevant doc ids; judged non-relevant
+ids are checked for duplicates and then dropped. The run is parsed after
+the qrels and labelled line by line as it streams in: each topic becomes
+a ``RankedTopic`` of labels in rank order, so ranks are implicit and
+dense. No doc id outlives the duplicate check, and a topic's rank fields
+are stored only once they stop counting 1, 2, 3, .... Documents present
+in a run but absent from the qrels, or judged non-relevant, are labelled
+non-relevant, the standard pooling assumption.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import islice
 from operator import le
 
 import numpy as np
@@ -121,14 +125,49 @@ def _lines(source: str | Iterable[str]) -> Iterable[str]:
     return source.splitlines() if isinstance(source, str) else source
 
 
-def parse_qrels(source: str | Iterable[str]) -> dict[str, dict[str, int]]:
-    """Parse qrels, given as text or as its lines, into binary judgments
-    ``{topic_id: {doc_id: 0|1}}``.
+class _TopicIds:
+    """The ids seen so far of each topic of a file that lists a topic's
+    lines together, for the duplicate check.
+
+    The current block of a topic's lines keeps its ids in a set. A finished
+    block keeps one space-joined string of them (an id holds no
+    whitespace) until its topic's lines come back after another topic's;
+    from then on the topic keeps its set.
+    """
+
+    def __init__(self):
+        self._current: str | None = None
+        self._seen: set[str] = set()
+        self._finished: dict[str, str] = {}
+        self._revisited: dict[str, set[str]] = {}
+
+    def start(self, topic: str) -> set[str]:
+        """Start a block of ``topic``'s lines: the set of the topic's ids
+        seen so far, which the caller checks and extends."""
+        if self._current is not None and self._current not in self._revisited:
+            self._finished[self._current] = " ".join(self._seen)
+        if topic in self._revisited:
+            seen = self._revisited[topic]
+        elif topic in self._finished:
+            seen = self._revisited[topic] = set(self._finished.pop(topic).split(" "))
+        else:
+            seen = set()
+        self._current, self._seen = topic, seen
+        return seen
+
+
+def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
+    """Parse qrels, given as text or as its lines, into the relevant doc
+    ids of each judged topic, ``{topic_id: frozenset(doc ids)}``, in order
+    of the topics' first lines. A topic whose every judgment is 0 or less
+    maps to an empty set.
 
     Raises ParseError for malformed lines (naming the line number) and
-    DuplicateEntryError for repeated (topic, doc) keys.
+    DuplicateEntryError for repeated (topic, doc) keys, whatever their
+    relevance.
     """
-    judged: dict[str, dict[str, int]] = {}
+    relevant: dict[str, list[str]] = {}
+    ids = _TopicIds()
     current = None
     for lineno, raw in enumerate(_lines(source), start=1):
         parts = raw.split()
@@ -145,40 +184,49 @@ def parse_qrels(source: str | Iterable[str]) -> dict[str, dict[str, int]]:
             raise ParseError(f"relevance {rel_str!r} is not an integer", lineno) from None
         if topic != current:  # qrels list a topic's lines together
             current = topic
-            docs = judged.setdefault(topic, {})
-        if doc_id in docs:
+            seen = ids.start(topic)
+            found = relevant.setdefault(topic, [])
+        if doc_id in seen:
             raise DuplicateEntryError(
                 f"duplicate qrels entry for {(topic, doc_id)}", lineno
             )
-        docs[doc_id] = 1 if rel > 0 else 0
-    return judged
-
-
-def _labels(docs: list[str], judged: dict[str, int]) -> np.ndarray:
-    return np.fromiter(map(judged.get, docs, repeat(0)), dtype=bool, count=len(docs))
+        seen.add(doc_id)
+        if rel > 0:
+            found.append(doc_id)
+    return {topic: frozenset(found) for topic, found in relevant.items()}
 
 
 def parse_run(
-    source: str | Iterable[str], qrels: dict[str, dict[str, int]]
+    source: str | Iterable[str], qrels: Mapping[str, AbstractSet[str]]
 ) -> list[RankedTopic]:
     """Parse a TREC run, given as text or as its lines, and label it with
-    parsed qrels: one topic per run topic, sorted by topic id, whose
-    ``labels[r - 1]`` is the label of the document at dense rank r.
+    the relevant doc ids of each topic, as ``parse_qrels`` returns them:
+    one topic per run topic, sorted by topic id, whose ``labels[r - 1]``
+    is the label of the document at dense rank r.
 
     Lines of a topic are ordered by their rank field; lines with equal
-    ranks keep their file order. A block of a topic's lines is labelled
-    when it ends, so only the current block's doc ids are held as a list.
+    ranks keep their file order. Each line is labelled as it is read, so
+    no doc id is held beyond the duplicate check. While a topic's ranks
+    are 1, 2, 3, ... in file order they are not stored at all.
+
+    Raises TypeError for qrels that map a topic to anything but a set,
+    such as a ``{doc_id: 0|1}`` dict, in which judged non-relevant ids
+    would read as relevant.
     """
     from array import array  # loaded by the commands that parse a run only
 
-    # topic -> (labels of its blocks, ranks), in file order; ranks are
-    # 64-bit machine integers unless a topic has one beyond that range
+    for topic, relevant in qrels.items():
+        if not isinstance(relevant, AbstractSet):
+            raise TypeError(
+                "qrels must map each topic to its set of relevant doc ids, as "
+                f"parse_qrels returns; topic {topic!r} maps to a "
+                f"{type(relevant).__name__}"
+            )
+    # topic -> (labels in file order, one byte each; ranks in file order, or
+    # None while they are 1, 2, 3, ...). Ranks are 64-bit machine integers
+    # unless a topic has one beyond that range.
     by_topic: dict[str, tuple] = {}
-    # The doc ids of a topic's first block, joined by spaces (a doc id holds
-    # no whitespace), until the topic's lines come back after another
-    # topic's; from then on, the set of the topic's doc ids.
-    finished: dict[str, str] = {}
-    revisited: dict[str, set[str]] = {}
+    ids = _TopicIds()
     current = None
     for lineno, raw in enumerate(_lines(source), start=1):
         parts = raw.split()
@@ -199,39 +247,32 @@ def parse_run(
         except ValueError:
             raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
         if topic != current:  # runs list a topic's lines together
-            if current is not None:
-                blocks.append(_labels(doc_ids, qrels.get(current, {})))
-                if current not in revisited:
-                    finished[current] = " ".join(doc_ids)
             current = topic
-            if topic not in by_topic:
-                by_topic[topic] = ([], array("q"))
-                seen = set()
-            elif topic in revisited:
-                seen = revisited[topic]
-            else:
-                seen = revisited[topic] = set(finished.pop(topic).split(" "))
-            blocks, ranks = by_topic[topic]
-            doc_ids = []
+            seen = ids.start(topic)
+            labels, ranks = by_topic.setdefault(topic, (bytearray(), None))
+            relevant = qrels.get(topic, ())
         if doc_id in seen:
             raise DuplicateEntryError(
                 f"doc {doc_id!r} listed twice for topic {topic!r}", lineno
             )
         seen.add(doc_id)
-        doc_ids.append(doc_id)
+        labels.append(doc_id in relevant)
+        if ranks is None:
+            if rank == len(labels):  # still implicit
+                continue
+            ranks = array("q", range(1, len(labels)))  # the implicit ranks so far
+            by_topic[topic] = (labels, ranks)
         try:
             ranks.append(rank)
         except OverflowError:
             ranks = [*ranks, rank]
-            by_topic[topic] = (blocks, ranks)
-    if current is not None:
-        blocks.append(_labels(doc_ids, qrels.get(current, {})))
+            by_topic[topic] = (labels, ranks)
 
     topics = []
     for topic in sorted(by_topic):
-        blocks, ranks = by_topic[topic]
-        labels = np.concatenate(blocks)
-        if not all(map(le, ranks, islice(ranks, 1, None))):
+        labels, ranks = by_topic[topic]
+        labels = np.frombuffer(labels, dtype=bool)
+        if ranks is not None and not all(map(le, ranks, islice(ranks, 1, None))):
             order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable on ties
             labels = labels[order]
         topics.append(RankedTopic(topic, labels))

@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, schemas, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -482,12 +485,13 @@ class TestStreamedInput:
     def test_load_memory_stays_near_the_columns(self, tmp_path):
         """Traced peak of loading 40k run lines and their qrels, per byte of input.
 
-        Measured 1.91 (Python 3.11) once the qrels were read first and each
-        block of a topic's run lines was labelled as it ended, against 2.49
-        when every doc id of the run was held until the qrels were read,
-        3.32 when each topic also held a score column, and 8.13 when each
-        file's text and line list were held whole. The bound is 1.91 plus
-        25%.
+        Measured 1.74 (Python 3.11) once the qrels kept only the relevant
+        ids and each run line was labelled as it was read, against 1.91
+        when the qrels held every judgment and each block of a topic's run
+        lines was labelled as it ended, 2.49 when every doc id of the run
+        was held until the qrels were read, 3.32 when each topic also held
+        a score column, and 8.13 when each file's text and line list were
+        held whole. The bound is 1.74 plus 25%.
         """
         run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
         run_lines, qrels_lines = [], []
@@ -509,7 +513,7 @@ class TestStreamedInput:
         finally:
             tracemalloc.stop()
         assert [t.n for t in topics] == [10_000] * 4
-        assert peak < 2.39 * size, f"peak {peak} B is {peak / size:.2f} x the input"
+        assert peak < 2.18 * size, f"peak {peak} B is {peak / size:.2f} x the input"
 
 
 class TestCompareCommand:
@@ -585,6 +589,47 @@ class TestCompareCommand:
             )
             tm_cost = expected.docs_examined / topic.n
             assert row["cost"] == pytest.approx(tm_cost, rel=1e-12)
+
+
+class TestSeedHashing:
+    """Only the target methods read a seed. Hashing it loads OpenSSL's
+    libcrypto (about 3.4 MiB resident), so no other command loads it."""
+
+    @staticmethod
+    def run_loads_hashlib(argv: list[str]) -> bool:
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys; from tarstop.cli import main; "
+                f"assert main({argv!r}) == 0; print('_hashlib' in sys.modules)")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        return out.stdout.splitlines()[-1] == "True"
+
+    @pytest.mark.parametrize("command, loads", [
+        ("stop", False), ("evaluate", False), ("sweep", False),
+        ("compare", False), ("compare target", True),
+    ])
+    def test_only_a_target_method_loads_hashlib(
+        self, command, loads, fixture_files, tmp_path
+    ):
+        run, qrels = fixture_files
+        outcomes, out = tmp_path / "outcomes.json", tmp_path / "out.json"
+        assert main(["stop", *flags(run, qrels), "--output", str(outcomes)]) == 0
+        argv = {
+            "stop": ["stop", *flags(run, qrels)],
+            "evaluate": ["evaluate", "--outcomes", str(outcomes),
+                         "--run", str(run), "--qrels", str(qrels)],
+            "sweep": ["sweep", *flags(run, qrels)],
+            "compare": ["compare", *flags(run, qrels), "--methods", "ip,knee"],
+            "compare target": ["compare", *flags(run, qrels), "--methods", "target"],
+        }[command]
+        assert self.run_loads_hashlib([*argv, "--output", str(out)]) is loads
+
+    def test_topic_seeds_are_pinned(self):
+        # the target baselines' samples are drawn from these seeds
+        assert cli._topic_seed(1729, "T1", "target") == 5888836637071137707
+        assert cli._topic_seed(1729, "T1", "target-adapted") == 505745215462102938
 
 
 class TestSweepCommand:

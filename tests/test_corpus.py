@@ -38,7 +38,7 @@ def doc_order(text, topic):
             if line.split()[:1] == [topic]]
     order = [None] * len(docs)
     for doc in docs:
-        (labelled,) = [t for t in parse_run(text, {topic: {doc: 1}}) if t.topic_id == topic]
+        (labelled,) = [t for t in parse_run(text, {topic: {doc}}) if t.topic_id == topic]
         (rank,) = np.flatnonzero(labelled.labels)
         order[rank] = doc
     return order
@@ -47,15 +47,15 @@ def doc_order(text, topic):
 class TestParseQrels:
     def test_direct_mapping(self):
         q = parse_qrels("T1 0 d1 1\nT1 0 d2 0")
-        assert q == {"T1": {"d1": 1, "d2": 0}}
+        assert q == {"T1": frozenset({"d1"})}
 
     def test_graded_collapses_to_binary(self):
         q = parse_qrels("T1 0 d1 2")
-        assert q == {"T1": {"d1": 1}}
+        assert q == {"T1": frozenset({"d1"})}
 
     def test_negative_relevance_maps_to_zero(self):
         q = parse_qrels("T1 0 d1 -1")
-        assert q == {"T1": {"d1": 0}}
+        assert q == {"T1": frozenset()}
 
     def test_wrong_field_count_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -75,26 +75,46 @@ class TestParseQrels:
 
     def test_comments_and_blank_lines_skipped(self):
         q = parse_qrels("\n# comment\nT1 0 d1 1\n\n")
-        assert q == {"T1": {"d1": 1}}
+        assert q == {"T1": frozenset({"d1"})}
 
     def test_judgments_are_held_per_topic(self):
         q = parse_qrels("T2 0 d1 1\nT1 0 d1 0\nT2 0 d2 0\n")
-        assert q == {"T2": {"d1": 1, "d2": 0}, "T1": {"d1": 0}}
+        assert q == {"T2": frozenset({"d1"}), "T1": frozenset()}
         assert list(q) == ["T2", "T1"]
 
     def test_duplicate_key_in_a_topic_that_comes_back(self):
         with pytest.raises(DuplicateEntryError, match="line 3"):
             parse_qrels("T1 0 d1 1\nT2 0 d1 1\nT1 0 d1 0")
 
+    def test_duplicate_across_blocks_names_the_later_line(self):
+        text = "T1 0 d1 0\nT1 0 d2 1\nT2 0 d1 1\nT1 0 d3 0\nT2 0 d2 0\nT1 0 d1 2"
+        with pytest.raises(DuplicateEntryError) as err:
+            parse_qrels(text)
+        assert str(err.value) == "line 6: duplicate qrels entry for ('T1', 'd1')"
+
+    @pytest.mark.parametrize("text, line", [
+        ("T1 0 d1 0\nT1 0 d1 0", 2),
+        ("T1 0 d1 0\nT1 0 d1 1", 2),
+        ("T1 0 d1 -1\nT2 0 d1 0\nT1 0 d1 0", 3),
+    ])
+    def test_judged_nonrelevant_duplicate_is_rejected(self, text, line):
+        # only relevant ids are kept, but every judgment is checked
+        with pytest.raises(DuplicateEntryError, match=f"line {line}"):
+            parse_qrels(text)
+
+    def test_relevant_ids_of_a_topic_that_comes_back(self):
+        q = parse_qrels("T1 0 d1 1\nT2 0 d1 0\nT1 0 d2 0\nT1 0 d3 1\n")
+        assert q == {"T1": frozenset({"d1", "d3"}), "T2": frozenset()}
+
 
 class TestParseRun:
     def test_sorts_by_rank(self):
         text = "T1 Q0 d2 2 0.5 x\nT1 Q0 d1 1 0.9 x"
-        assert labels_of(parse_run(text, {"T1": {"d1": 1}})) == {"T1": [True, False]}
+        assert labels_of(parse_run(text, {"T1": {"d1"}})) == {"T1": [True, False]}
         assert doc_order(text, "T1") == ["d1", "d2"]
 
     def test_empty_input(self):
-        assert parse_run("", {"T1": {"d1": 1}}) == []
+        assert parse_run("", {"T1": {"d1"}}) == []
 
     def test_duplicate_doc(self):
         with pytest.raises(DuplicateEntryError):
@@ -120,6 +140,33 @@ class TestParseRun:
         text = f"T1 Q0 a {big} 1 x\nT1 Q0 b 1 2 x\nT1 Q0 c {-big} 3 x"
         assert doc_order(text, "T1") == ["c", "b", "a"]
 
+    @pytest.mark.parametrize("ranks", [
+        list(range(50)),  # 0-based
+        [1, 2, 3, 5, 8, 13, 21],  # gaps, in order
+        [5, 4, 3, 2, 1],
+        [1, 2, 2, 3, 1],  # ties keep file order
+        [*range(1, 300), 7, *range(300, 310)],  # one late rank out of order
+        [*range(1, 60), 59, 60, 61],  # a late tie
+        # a rank beyond 64 bits after a dense prefix
+        *([*range(1, 40), late, 40] for late in (2 ** 63, 2 ** 64, -2 ** 63 - 1)),
+    ])
+    def test_doc_order_is_a_stable_sort_of_the_ranks(self, ranks):
+        docs = [f"d{i}" for i in range(len(ranks))]
+        text = "".join(f"T Q0 {d} {r} 0 x\n" for d, r in zip(docs, ranks))
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        assert doc_order(text, "T") == [docs[i] for i in order]
+
+    def test_dense_ranks_continue_in_a_topic_that_comes_back(self):
+        text = ("T1 Q0 a 1 0 x\nT1 Q0 b 2 0 x\nT2 Q0 c 1 0 x\n"
+                "T1 Q0 d 3 0 x\nT1 Q0 e 2 0 x\n")
+        assert doc_order(text, "T1") == ["a", "b", "e", "d"]
+        assert doc_order(text, "T2") == ["c"]
+
+    def test_judgments_in_the_old_dict_shape_are_rejected(self):
+        # `in` on {doc: 0} would label the judged non-relevant doc relevant
+        with pytest.raises(TypeError, match="topic 'T1' maps to a dict"):
+            parse_run("T1 Q0 d1 1 0.9 x", {"T1": {"d1": 0}})
+
     def test_non_numeric_rank(self):
         with pytest.raises(ParseError, match="rank"):
             parse_run("T1 Q0 d1 one 0.9 x", {})
@@ -134,7 +181,7 @@ class TestParseRun:
 
     def test_round_trip_preserves_rank_order(self):
         text = "T1 Q0 d2 2 0.5 x\nT1 Q0 d1 1 0.9 x\nT2 Q0 a 7 3.0 x\n"
-        qrels = {"T1": {"d2": 1}, "T2": {"a": 1}}
+        qrels = {"T1": {"d2"}, "T2": {"a"}}
         dense = "".join(
             f"{topic} Q0 {d} {rank} 0 x\n"
             for topic in ("T1", "T2")
@@ -372,6 +419,17 @@ def _reference_parse_qrels(text: str) -> dict[tuple[str, str], int]:
     return entries
 
 
+def _relevant_sets(judged: dict[tuple[str, str], int]) -> dict[str, frozenset[str]]:
+    """Per-line judgments as the relevant doc ids of each topic, in order of
+    the topics' first judgments; a topic judged only 0 maps to no ids."""
+    relevant: dict[str, set[str]] = {}
+    for (topic, doc), rel in judged.items():
+        docs = relevant.setdefault(topic, set())
+        if rel:
+            docs.add(doc)
+    return {topic: frozenset(docs) for topic, docs in relevant.items()}
+
+
 def _outcome(parse, source):
     """What ``parse`` returns for ``source``, or its error's type, line and message."""
     try:
@@ -493,8 +551,10 @@ class TestParserProperties:
         expected = _outcome(_reference_parse_run, text)
         if isinstance(expected, dict):
             expected = _reference_join(expected, qrels)
+        relevant = _relevant_sets(
+            {(t, d): rel for t, docs in qrels.items() for d, rel in docs.items()})
         for source in _two_ways(text):
-            run = _outcome(lambda lines: parse_run(lines, qrels), source)
+            run = _outcome(lambda lines: parse_run(lines, relevant), source)
             if isinstance(run, tuple):  # an error: type, line and message
                 assert run == expected
             else:
@@ -510,9 +570,7 @@ class TestParserProperties:
             if isinstance(qrels, tuple):  # an error: type, line and message
                 assert qrels == expected
             else:
-                assert {
-                    (t, d): rel for t, docs in qrels.items() for d, rel in docs.items()
-                } == expected
+                assert qrels == _relevant_sets(expected)
                 assert list(qrels) == list(dict.fromkeys(t for t, _ in expected))
 
     @settings(max_examples=120, deadline=None, derandomize=True)
