@@ -45,8 +45,9 @@ class RankedTopic:
     """One topic's ranking joined with binary labels, indexed by rank.
 
     The topic also caches the rate curves fitted to its screened prefixes
-    (see ``stopping.run_stopping``), so every run over it fits each
-    checkpoint once. Since each topic owns its cache, topics compare and
+    and the NRMSE floors that spare some of those fits (see
+    ``stopping.run_stopping``), so every run over it fits each checkpoint
+    at most once. Since each topic owns its caches, topics compare and
     hash by identity: two topics with equal labels are distinct.
     """
 
@@ -54,6 +55,8 @@ class RankedTopic:
     labels: np.ndarray  # bool, shape (n,); labels[r-1] is the label at rank r
     # (rate kind, window size, checkpoint) -> fitted curve, or the error raised
     _fits: dict = field(default_factory=dict, init=False, repr=False)
+    # window size -> the tables of ``stopping._nrmse_floor``
+    _floors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=bool).copy()

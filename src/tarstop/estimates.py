@@ -222,11 +222,20 @@ def estimate_remaining_cox(
     weights = weights[valid]
     weights = weights / weights.sum()
 
-    # a scalar integral per point: an array form would use numpy's exp,
-    # which differs from math.exp in the last bit for some arguments. The
-    # kept points meet RateParams' constraints.
-    masses = np.array(
-        [family.integral(i, j, params.n_total, values) for values in points[:, valid].T.tolist()]
-    )
+    # One integral per point of the shape parameters (all but a, every
+    # family's first), over the a axis at once. Each family's integral is
+    # a times or over scalars of the shape alone, which math.exp and
+    # math.log1p compute: numpy's exp differs from math.exp in the last bit
+    # for some arguments, but its elementwise * and / round as Python's do.
+    # The kept points meet RateParams' constraints.
+    a_axis = axes[0]
+    valid = valid.reshape(a_axis.size, -1)  # row per a, column per shape point
+    masses = np.zeros(valid.shape)
+    for s in np.flatnonzero(valid.any(axis=0)):
+        rows = valid[:, s]
+        masses[rows, s] = family.integral(
+            i, j, params.n_total, (a_axis[rows], *points[1:, s].tolist())
+        )
+    masses = masses[valid]  # row-major, the order of the weights
     mean_mass = float(weights @ masses)
     return RemainingEstimate((i, j), mean_mass, _mixture_quantile(masses, weights, p), p)

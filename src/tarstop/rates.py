@@ -153,7 +153,8 @@ class _Family:
     kind: RateKind
     params: dict[str, _Coordinate]  # free parameters, in canonical order
     rate: Callable  # (x, n_total, *values) -> the rate at positions x
-    area: Callable  # (i, j, n_total, *values) -> its integral over [i, j], i < j
+    area: Callable  # (i, j, n_total, *values) -> its integral over [i, j], i < j;
+    # a, the first value, may be an array: the integral is a times or over scalars
     jacobian: Callable  # (x, rate at x, *values) -> d rate / d t, one column each
     start: Callable  # (window centers, window means, n_total) -> the fit's first t
     reads_n_total: bool = False

@@ -7,7 +7,13 @@ The loop screens a ranking in batches. At each checkpoint k it:
      bound that relaxes as screening progresses: 20 * (1 - k/n));
   3. fits the configured rate family to windowed relevance frequencies
      of the screened prefix, skipping if the fit fails or its
-     range-normalized error exceeds the threshold;
+     range-normalized error (NRMSE) exceeds the threshold. Every family
+     declines in rank, so no fit can beat the least squared error of the
+     best non-increasing sequence through the window means. The NRMSE
+     built from that error, the floor, bounds every fit's from below;
+     when it exceeds the threshold by a margin that covers rounding, the
+     fit is skipped and the checkpoint rejected. Its trace runs the fit
+     when first read, to report the curve, or a failed fit as such;
   4. estimates the relevant documents remaining in ranks k+1..n at the
      configured confidence, forming a total estimate: found so far plus
      the confidence-level upper bound;
@@ -21,7 +27,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+
+import numpy as np
 
 from .corpus import RankedTopic
 from .errors import ConfigError, TarStopError
@@ -110,15 +118,71 @@ class StoppingConfig:
             )
 
 
-@dataclass(frozen=True)
 class IterationTrace:
-    k: int
-    rel_found: int
-    gate: Gate
-    curve: RateCurve | None = None
-    estimate: RemainingEstimate | None = None
-    total_estimate: float | None = None
-    stop_decision: bool = False
+    """One checkpoint of a run: its gate, and the curve and estimate
+    behind it.
+
+    A checkpoint that the NRMSE floor rejects is recorded before its
+    curve is fitted. The first read of ``gate`` or ``curve`` runs that
+    fit, through the topic's cache, and settles the gate: NRMSE_REJECTED
+    with the curve or, when the fit fails, FIT_FAILED without one. Traces
+    compare, hash and print by the settled values.
+    """
+
+    __slots__ = ("k", "rel_found", "_gate", "_curve", "estimate", "total_estimate",
+                 "stop_decision", "_deferred")
+
+    def __init__(
+        self, k: int, rel_found: int, gate: Gate | None, curve: RateCurve | None = None,
+        estimate: RemainingEstimate | None = None, total_estimate: float | None = None,
+        stop_decision: bool = False, deferred: tuple[RankedTopic, StoppingConfig] | None = None,
+    ):
+        values = (k, rel_found, gate, curve, estimate, total_estimate, stop_decision, deferred)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _settle(self) -> None:
+        if self._deferred is not None:
+            topic, config = self._deferred
+            curve = _fit_at(topic, config, self.k)
+            failed = isinstance(curve, TarStopError)
+            object.__setattr__(self, "_gate", Gate.FIT_FAILED if failed else Gate.NRMSE_REJECTED)
+            object.__setattr__(self, "_curve", None if failed else curve)
+            object.__setattr__(self, "_deferred", None)
+
+    @property
+    def gate(self) -> Gate:
+        self._settle()
+        return self._gate
+
+    @property
+    def curve(self) -> RateCurve | None:
+        self._settle()
+        return self._curve
+
+    def _fields(self) -> dict:
+        return {
+            "k": self.k, "rel_found": self.rel_found, "gate": self.gate, "curve": self.curve,
+            "estimate": self.estimate, "total_estimate": self.total_estimate,
+            "stop_decision": self.stop_decision,
+        }
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        return f"IterationTrace({', '.join(f'{k}={v!r}' for k, v in self._fields().items())})"
+
+    def __reduce__(self):  # for pickle and copy, which would assign the slots
+        return IterationTrace, tuple(self._fields().values())
 
 
 @dataclass(frozen=True)
@@ -185,12 +249,101 @@ def _fit_at(topic: RankedTopic, config: StoppingConfig, k: int):
     return fits[key]
 
 
+def _antitonic_errors(counts: list[int]) -> list[float]:
+    """Least squared error of the best non-increasing sequence through
+    each prefix of ``counts``.
+
+    Pool-adjacent-violators, left to right: a stack of blocks, each fitted
+    by its mean, where a block whose mean exceeds its predecessor's merges
+    with it. After each count the stack is the best fit of the prefix, and
+    each block's entry carries the error of the blocks up to it. A block's
+    error is an exact integer over its size, rounded once, and the entries
+    only add these, so each result is within (blocks + 1) * 2**-53 of the
+    exact value, relative.
+    """
+    blocks: list[tuple[int, int, int, float]] = []  # (sum, size, sum of squares, error)
+    errors = []
+    for c in counts:
+        total, size, squares = c, 1, c * c
+        while blocks and total * blocks[-1][1] > blocks[-1][0] * size:
+            prev_total, prev_size, prev_squares, _ = blocks.pop()
+            total += prev_total
+            size += prev_size
+            squares += prev_squares
+        error = (size * squares - total * total) / size + (blocks[-1][3] if blocks else 0.0)
+        blocks.append((total, size, squares, error))
+        errors.append(error)
+    return errors
+
+
+# The floor rejects a checkpoint only when it exceeds the threshold by this
+# share, which covers the rounding of the two sums of squares it compares:
+# each adds at most m non-negative terms, each rounded a few times, so
+# either is within about (m + 3) * 2**-53 of its exact value, relative,
+# whatever the order of its additions; the square roots and quotients
+# around them add a few 2**-53 more. Below 10**9 windows all of that stays
+# under 3e-7.
+_FLOOR_MARGIN = 1e-6
+# What the floor gives up for rounding that does not scale with it: a
+# window mean is within 2**-53 of its count over the window size,
+# relative, and a computed rate may rise by a few ulps from one window to
+# the next where the exact one falls. The least squared error of a
+# non-increasing fit is a squared distance to a convex cone, which moves
+# by no more than the data do, in norm; so each moves the floor by at most
+# a few 2**-53 times the largest mean, over the range.
+_FLOOR_SLACK = 2.0**-50
+
+
+def _nrmse_floor(topic: RankedTopic, window: int, k: int) -> float:
+    """A lower bound on the NRMSE of every curve the fit can return at
+    checkpoint k, or 0.0 on fewer than three windows or a zero range,
+    where the NRMSE is not defined.
+
+    Every rate family declines in rank for every value the fit returns
+    (``rates._FAMILIES``), so a fitted curve is a non-increasing sequence
+    at the window centers and its squared error is at least the least
+    squared error of any such sequence. That error over the full windows
+    of the prefix comes from one pass over the topic's full windows per
+    window size, cached on the topic; leaving out a trailing partial
+    window only lowers it. The window count m and the range are those of
+    the fit's own points.
+    """
+    tables = topic._floors.get(window)
+    if tables is None:
+        full = topic.n // window
+        counts = topic.labels[:full * window].reshape(full, window).sum(axis=1)
+        tables = topic._floors[window] = (
+            np.array(_antitonic_errors(counts.tolist())),
+            np.maximum.accumulate(counts), np.minimum.accumulate(counts),
+        )
+    errors, highest, lowest = tables
+    full, rem = divmod(k, window)
+    if full < 1:
+        return 0.0
+    # the means as rates.window_estimates rounds them
+    y_max, y_min = highest[full - 1] / window, lowest[full - 1] / window
+    m = full
+    if rem and rem >= window / 2.0:
+        partial = topic.labels[k - rem:k].sum() / rem
+        y_max, y_min = max(y_max, partial), min(y_min, partial)
+        m += 1
+    span = float(y_max - y_min)
+    if m < 3 or span <= 0.0:
+        return 0.0
+    rms = math.sqrt(errors[full - 1] / m) / window
+    return (rms - _FLOOR_SLACK * float(y_max)) / span
+
+
 def _evaluate_checkpoint(
     topic: RankedTopic, config: StoppingConfig, k: int
 ) -> IterationTrace:
     rel = topic.relevant_in_prefix(k)
     if not config.min_rel_rule.passes(rel, k, topic.n):
         return IterationTrace(k, rel, Gate.TOO_FEW_RELEVANT)
+
+    floor = _nrmse_floor(topic, config.window_size, k)
+    if floor > config.nrmse_threshold * (1.0 + _FLOOR_MARGIN):
+        return IterationTrace(k, rel, None, deferred=(topic, config))
 
     curve = _fit_at(topic, config, k)
     if isinstance(curve, TarStopError):

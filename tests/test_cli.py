@@ -991,10 +991,11 @@ class TestFitSharing:
 
     def test_compare_processes_share_fits(self, sized_topics, monkeypatch, capsys):
         run, qrels = sized_topics
-        both = self.count_fits(monkeypatch, ["compare", *flags(run, qrels),
-                                             "--methods", "ip,cox"])
-        ip_only = self.count_fits(monkeypatch, ["compare", *flags(run, qrels),
-                                                "--methods", "ip"])
+        # at the default gate of 0.1 the NRMSE floor rejects every checkpoint
+        # of these noisy topics, and compare reads no trace, so nothing is fitted
+        loose = [*flags(run, qrels), "--nrmse-threshold", "0.5"]
+        both = self.count_fits(monkeypatch, ["compare", *loose, "--methods", "ip,cox"])
+        ip_only = self.count_fits(monkeypatch, ["compare", *loose, "--methods", "ip"])
         assert both and len(both) == len(set(both))
         assert set(both) >= set(ip_only)
 

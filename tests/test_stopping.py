@@ -1,15 +1,18 @@
 """Screening-loop behaviour: schedules, gates, stop rule, determinism."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tarstop import stopping
 from tarstop.corpus import RankedTopic, SyntheticSpec, generate_synthetic
-from tarstop.errors import ConfigError, TarStopError
+from tarstop.errors import ConfigError, FitFailureError, TarStopError
 from tarstop.estimates import ProcessKind
-from tarstop.rates import RateKind, fit_rate
+from tarstop.rates import RateKind, fit_rate, window_estimates
 from tarstop.stopping import (
     BatchSchedule,
     DynamicMinRel,
@@ -316,24 +319,29 @@ class TestRankingEffectivenessTrend:
         assert reliabilities[0] > reliabilities[-1]
 
 
+def _memo_cases(threshold=0.3):
+    # a declining topic, and one where every document is relevant, so
+    # every fit there fails on its zero observed range
+    topics = [exp_topic(seed=31, n=800, a=0.4, b=-0.008),
+              topic_from_labels([1] * 200)]
+    configs = [
+        StoppingConfig(
+            process=process, rate_kind=rate, min_rel_rule=rule,
+            batch_schedule=schedule, alpha=0.1, beta=0.1, window_size=window,
+            nrmse_threshold=threshold,
+        )
+        for process in ProcessKind
+        for rate in RateKind
+        for rule in (StaticMinRel(10), DynamicMinRel())
+        for schedule in BatchSchedule
+        for window in (10, 20)
+    ]
+    return topics, configs
+
+
 class TestFitMemo:
     def test_shared_memo_matches_memo_free_runs(self):
-        # a declining topic, and one where every document is relevant, so
-        # every fit there fails on its zero observed range
-        topics = [exp_topic(seed=31, n=800, a=0.4, b=-0.008),
-                  topic_from_labels([1] * 200)]
-        configs = [
-            StoppingConfig(
-                process=process, rate_kind=rate, min_rel_rule=rule,
-                batch_schedule=schedule, alpha=0.1, beta=0.1, window_size=window,
-                nrmse_threshold=0.3,
-            )
-            for process in ProcessKind
-            for rate in RateKind
-            for rule in (StaticMinRel(10), DynamicMinRel())
-            for schedule in BatchSchedule
-            for window in (10, 20)
-        ]
+        topics, configs = _memo_cases()
         for topic in topics:
             for cfg in configs:
                 fresh = RankedTopic(topic.topic_id, topic.labels)
@@ -345,6 +353,8 @@ class TestFitMemo:
         topic = exp_topic(seed=31, n=800, a=0.4, b=-0.008)
         cfg = StoppingConfig(rate_kind=RateKind.EXPONENTIAL, alpha=0.1, beta=0.1)
         first = run_stopping(topic, cfg)
+        for trace in first.traces:
+            trace.gate  # runs the fits that the NRMSE floor deferred
         calls = []
 
         def counting_fit(*args):
@@ -358,5 +368,92 @@ class TestFitMemo:
         assert run_stopping(topic, cfg) == first
         run_stopping(topic, cox)
         assert calls == []
-        run_stopping(RankedTopic(topic.topic_id, topic.labels), cfg)
+        for trace in run_stopping(RankedTopic(topic.topic_id, topic.labels), cfg).traces:
+            trace.gate
         assert calls  # a new topic fits afresh
+
+    # 0.3 is the memo tests' gate, which no checkpoint's floor reaches; at
+    # the default 0.1 the floor rejects most of the declining topic's
+    @pytest.mark.parametrize("threshold", [0.1, 0.3])
+    def test_nrmse_floor_changes_no_outcome(self, monkeypatch, threshold):
+        topics, configs = _memo_cases(threshold)
+        deferred = 0
+        for topic in topics:
+            floor_free = RankedTopic(topic.topic_id, topic.labels)
+            for cfg in configs:
+                outcome = run_stopping(topic, cfg)
+                deferred += sum(trace._deferred is not None for trace in outcome.traces)
+                with monkeypatch.context() as patch:
+                    patch.setattr(stopping, "_nrmse_floor", lambda topic, window, k: 0.0)
+                    expected = run_stopping(floor_free, cfg)
+                assert outcome == expected  # comparing reads the deferred traces
+        assert (deferred > 0) == (threshold == 0.1)
+
+
+def _declining_labels(seed: int, n: int, scale: float, decay: float) -> list[bool]:
+    x = np.arange(n)
+    return (np.random.default_rng(seed).random(n) < scale * np.exp(-decay * x)).tolist()
+
+
+class TestNrmseFloor:
+    """The NRMSE floor that spares a checkpoint its fit is below the NRMSE
+    of every curve the fit returns."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        labels=st.one_of(
+            st.lists(st.booleans(), min_size=1, max_size=300),
+            st.builds(_declining_labels, st.integers(0, 2**16), st.integers(1, 300),
+                      st.floats(0.0, 1.0), st.floats(0.0, 0.1)),
+        ),
+        window=st.sampled_from([1, 2, 5, 10, 25]),
+        data=st.data(),
+    )
+    def test_no_fit_beats_the_floor(self, labels, window, data):
+        topic = topic_from_labels(labels)
+        k = data.draw(st.integers(1, topic.n), label="k")
+        floor = stopping._nrmse_floor(topic, window, k)
+        if floor <= 0.0:  # holds for any fit; spares the fits that exhaust their budget
+            return
+        for kind in RateKind:
+            try:
+                curve = fit_rate(window_estimates(topic.labels[:k], window), kind, topic.n)
+            except TarStopError:
+                continue
+            assert curve.nrmse >= floor
+
+    def test_repeated_spike_fits_nothing_until_read(self, monkeypatch):
+        # The windows of TestLevenbergMarquardt's single spike (1, then 38
+        # zeros), whose exponential fit spends its whole budget, three
+        # times over. The spike alone declines, so its floor is zero and
+        # nothing spares that fit; once the spike repeats, the floor
+        # rejects every checkpoint below, and those fits converge.
+        spike = [1] * 25 + [0] * 25 * 38
+        topic = topic_from_labels(spike * 3)
+        assert stopping._nrmse_floor(topic, 25, len(spike)) <= 0.0
+        cfg = StoppingConfig(rate_kind=RateKind.EXPONENTIAL, alpha=0.35, beta=0.3)
+        assert [
+            stopping._nrmse_floor(topic, 25, k) > 0.1 * (1 + 1e-6)
+            for k in checkpoints(topic.n, cfg)
+        ] == [True, True, True]
+
+        calls = []
+
+        def counting_fit(*args):
+            calls.append(args)
+            return fit_rate(*args)
+
+        monkeypatch.setattr(stopping, "fit_rate", counting_fit)
+        outcome = run_stopping(topic, cfg)
+        assert outcome.hit_end and calls == []
+        rejected = outcome.traces[0]
+        assert rejected.gate is Gate.NRMSE_REJECTED and rejected.curve.nrmse > 0.1
+        assert len(calls) == 1
+
+        def failing_fit(*args):
+            raise FitFailureError("did not converge")
+
+        monkeypatch.setattr(stopping, "fit_rate", failing_fit)
+        failed = outcome.traces[1]
+        assert (failed.gate, failed.curve) == (Gate.FIT_FAILED, None)
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
