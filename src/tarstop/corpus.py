@@ -16,7 +16,10 @@ ids are checked for duplicates and then dropped. The run is parsed after
 the qrels and labelled line by line as it streams in: each topic becomes
 a ``RankedTopic`` of labels in rank order, so ranks are implicit and
 dense. No doc id outlives the duplicate check, and a topic's rank fields
-are stored only once they stop counting 1, 2, 3, .... Documents present
+are stored only once they stop counting 1, 2, 3, .... That check holds a
+topic's latest ids in a dict of at most ``_BATCH``, and its earlier ones
+as space-joined strings and, past one batch, as sorted 64-bit hashes,
+8 bytes an id where a set of them takes about 100. Documents present
 in a run but absent from the qrels, or judged non-relevant, are labelled
 non-relevant, the standard pooling assumption.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import le
 
 import numpy as np
@@ -128,35 +131,103 @@ def _lines(source: str | Iterable[str]) -> Iterable[str]:
     return source.splitlines() if isinstance(source, str) else source
 
 
-class _TopicIds:
-    """The ids seen so far of each topic of a file that lists a topic's
-    lines together, for the duplicate check.
+# Ids the duplicate check holds in one dict before it checks them against
+# the topic's earlier ids (see ``_TopicIds``).
+_BATCH = 4096
 
-    The current block of a topic's lines keeps its ids in a set. A finished
-    block keeps one space-joined string of them (an id holds no
-    whitespace) until its topic's lines come back after another topic's;
-    from then on the topic keeps its set.
+
+class _TopicIds:
+    """The duplicate check of a file that lists a topic's lines together.
+
+    The parser checks each id against ``batch``, a dict ``{doc_id: line}``
+    of the current topic's latest ids, adds it, and calls ``flush`` once
+    the batch holds ``_BATCH`` ids. A flush checks the batch against the
+    topic's earlier ids. Those are kept as one space-joined string per
+    batch (an id holds no whitespace) and, once the topic has more than
+    one batch, as a sorted int64 array of their ``hash`` values: 8 bytes
+    an id, where a set takes about 100. The batch's hashes are merged in,
+    and a new pair of equal neighbours sends the batch to an exact check
+    against the strings, so a collision of two different ids is no error.
+    The count of such pairs is kept, so a collision sends only the batch
+    that makes it to the exact check. A topic of one batch or less is never
+    hashed. A finished topic keeps its strings only, and if its lines come
+    back, its hashes are rebuilt from them.
+
+    Used as a context manager, it flushes the last batch when the parse
+    ends, and before any parse error on a line leaves it: a duplicate in
+    the pending batch is on an earlier line, so it is the error raised.
     """
 
-    def __init__(self):
-        self._current: str | None = None
-        self._seen: set[str] = set()
-        self._finished: dict[str, str] = {}
-        self._revisited: dict[str, set[str]] = {}
+    def __init__(self, message):
+        self._message = message  # (topic, doc_id) -> the duplicate error's text
+        self.batch: dict[str, int] = {}
+        self._topic: str | None = None
+        self._strings: list[str] = []
+        self._hashes: np.ndarray | None = None
+        self._collisions = 0  # pairs of equal neighbours in _hashes: different ids
+        self._finished: dict[str, list[str]] = {}
 
-    def start(self, topic: str) -> set[str]:
-        """Start a block of ``topic``'s lines: the set of the topic's ids
-        seen so far, which the caller checks and extends."""
-        if self._current is not None and self._current not in self._revisited:
-            self._finished[self._current] = " ".join(self._seen)
-        if topic in self._revisited:
-            seen = self._revisited[topic]
-        elif topic in self._finished:
-            seen = self._revisited[topic] = set(self._finished.pop(topic).split(" "))
-        else:
-            seen = set()
-        self._current, self._seen = topic, seen
-        return seen
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        # an error of the source itself names no line and wins as it stands
+        if exc is None or (isinstance(exc, ParseError) and exc.line is not None):
+            self.flush()
+
+    def start(self, topic: str) -> None:
+        """Start a block of ``topic``'s lines."""
+        self.flush()
+        if self._topic is not None:
+            self._finished[self._topic] = self._strings
+        self._topic, self._hashes = topic, None
+        self._strings = self._finished.pop(topic, [])
+
+    def duplicate(self, doc_id: str, line: int) -> DuplicateEntryError:
+        return DuplicateEntryError(self._message(self._topic, doc_id), line)
+
+    def flush(self) -> None:
+        """Check the batch against the topic's earlier ids and add it to them;
+        raise DuplicateEntryError at the first line that repeats one."""
+        batch = self.batch
+        if not batch:
+            return
+        if self._strings:
+            if self._hashes is None:
+                self._hashes = np.sort(np.fromiter(
+                    map(hash, chain.from_iterable(s.split(" ") for s in self._strings)),
+                    np.int64,
+                ))
+                self._collisions = _repeated(self._hashes).size
+            new = np.sort(np.fromiter(map(hash, batch), np.int64, len(batch)))
+            # a stable sort of two sorted runs is one merge
+            merged = np.concatenate((self._hashes, new))
+            merged.sort(kind="stable")
+            repeated = _repeated(merged)
+            if repeated.size > self._collisions:
+                self._recheck(set(repeated.tolist()))
+                self._collisions = repeated.size  # different ids: no error
+            self._hashes = merged
+        self._strings.append(" ".join(batch))
+        batch.clear()
+
+    def _recheck(self, repeated: set[int]) -> None:
+        """Raise at the first line of the batch whose id is an earlier one
+        of the topic, among the ids whose hash is in ``repeated``."""
+        batch = self.batch
+        suspects = {doc_id for doc_id in batch if hash(doc_id) in repeated}
+        earlier = [doc_id for s in self._strings for doc_id in s.split(" ")
+                   if doc_id in suspects]
+        if earlier:
+            doc_id = min(earlier, key=batch.__getitem__)
+            error = self.duplicate(doc_id, batch[doc_id])
+            batch.clear()  # so the flush of an exiting parse adds nothing
+            raise error from None
+
+
+def _repeated(hashes: np.ndarray) -> np.ndarray:
+    """The second of each pair of equal neighbours in sorted ``hashes``."""
+    return hashes[1:][hashes[1:] == hashes[:-1]]
 
 
 def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
@@ -170,32 +241,34 @@ def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
     relevance.
     """
     relevant: dict[str, list[str]] = {}
-    ids = _TopicIds()
+    size = _BATCH
     current = None
-    for lineno, raw in enumerate(_lines(source), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 4:
-            raise ParseError(
-                f"expected 4 fields 'topic iter docid rel', got {len(parts)}", lineno
-            )
-        topic, _iter, doc_id, rel_str = parts
-        try:
-            rel = int(rel_str)
-        except ValueError:
-            raise ParseError(f"relevance {rel_str!r} is not an integer", lineno) from None
-        if topic != current:  # qrels list a topic's lines together
-            current = topic
-            seen = ids.start(topic)
-            found = relevant.setdefault(topic, [])
-        if doc_id in seen:
-            raise DuplicateEntryError(
-                f"duplicate qrels entry for {(topic, doc_id)}", lineno
-            )
-        seen.add(doc_id)
-        if rel > 0:
-            found.append(doc_id)
+    with _TopicIds(lambda topic, doc_id: f"duplicate qrels entry for {(topic, doc_id)}") as ids:
+        batch = ids.batch
+        for lineno, raw in enumerate(_lines(source), start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 4:
+                raise ParseError(
+                    f"expected 4 fields 'topic iter docid rel', got {len(parts)}", lineno
+                )
+            topic, _iter, doc_id, rel_str = parts
+            try:
+                rel = int(rel_str)
+            except ValueError:
+                raise ParseError(f"relevance {rel_str!r} is not an integer", lineno) from None
+            if topic != current:  # qrels list a topic's lines together
+                current = topic
+                ids.start(topic)
+                found = relevant.setdefault(topic, [])
+            if doc_id in batch:
+                raise ids.duplicate(doc_id, lineno)
+            batch[doc_id] = lineno
+            if len(batch) == size:
+                ids.flush()
+            if rel > 0:
+                found.append(doc_id)
     return {topic: frozenset(found) for topic, found in relevant.items()}
 
 
@@ -229,47 +302,49 @@ def parse_run(
     # None while they are 1, 2, 3, ...). Ranks are 64-bit machine integers
     # unless a topic has one beyond that range.
     by_topic: dict[str, tuple] = {}
-    ids = _TopicIds()
+    size = _BATCH
     current = None
-    for lineno, raw in enumerate(_lines(source), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 6:
-            raise ParseError(
-                f"expected 6 fields 'topic Q0 docid rank score tag', got {len(parts)}",
-                lineno,
-            )
-        topic, _q0, doc_id, rank_str, score_str, _tag = parts
-        try:
-            rank = int(rank_str)
-        except ValueError:
-            raise ParseError(f"rank {rank_str!r} is not an integer", lineno) from None
-        try:
-            float(score_str)
-        except ValueError:
-            raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
-        if topic != current:  # runs list a topic's lines together
-            current = topic
-            seen = ids.start(topic)
-            labels, ranks = by_topic.setdefault(topic, (bytearray(), None))
-            relevant = qrels.get(topic, ())
-        if doc_id in seen:
-            raise DuplicateEntryError(
-                f"doc {doc_id!r} listed twice for topic {topic!r}", lineno
-            )
-        seen.add(doc_id)
-        labels.append(doc_id in relevant)
-        if ranks is None:
-            if rank == len(labels):  # still implicit
+    with _TopicIds(lambda topic, doc_id: f"doc {doc_id!r} listed twice for topic {topic!r}") as ids:
+        batch = ids.batch
+        for lineno, raw in enumerate(_lines(source), start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            ranks = array("q", range(1, len(labels)))  # the implicit ranks so far
-            by_topic[topic] = (labels, ranks)
-        try:
-            ranks.append(rank)
-        except OverflowError:
-            ranks = [*ranks, rank]
-            by_topic[topic] = (labels, ranks)
+            if len(parts) != 6:
+                raise ParseError(
+                    f"expected 6 fields 'topic Q0 docid rank score tag', got {len(parts)}",
+                    lineno,
+                )
+            topic, _q0, doc_id, rank_str, score_str, _tag = parts
+            try:
+                rank = int(rank_str)
+            except ValueError:
+                raise ParseError(f"rank {rank_str!r} is not an integer", lineno) from None
+            try:
+                float(score_str)
+            except ValueError:
+                raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
+            if topic != current:  # runs list a topic's lines together
+                current = topic
+                ids.start(topic)
+                labels, ranks = by_topic.setdefault(topic, (bytearray(), None))
+                relevant = qrels.get(topic, ())
+            if doc_id in batch:
+                raise ids.duplicate(doc_id, lineno)
+            batch[doc_id] = lineno
+            if len(batch) == size:
+                ids.flush()
+            labels.append(doc_id in relevant)
+            if ranks is None:
+                if rank == len(labels):  # still implicit
+                    continue
+                ranks = array("q", range(1, len(labels)))  # the implicit ranks so far
+                by_topic[topic] = (labels, ranks)
+            try:
+                ranks.append(rank)
+            except OverflowError:
+                ranks = [*ranks, rank]
+                by_topic[topic] = (labels, ranks)
 
     topics = []
     for topic in sorted(by_topic):
@@ -293,7 +368,10 @@ def generate_synthetic(spec: SyntheticSpec) -> RankedTopic:
     if spec._rate is None:
         lam = np.full(spec.n, spec.params["a"], dtype=float)
     else:
-        lam = rate_value(spec._rate, np.arange(1, spec.n + 1, dtype=float))
+        # an extreme but valid b or c overflows b * x or b * c * x to inf,
+        # whose rate is the right limit, 0
+        with np.errstate(over="ignore"):
+            lam = rate_value(spec._rate, np.arange(1, spec.n + 1, dtype=float))
     probs = np.clip(lam, 0.0, 1.0)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     labels = rng.random(spec.n) < probs

@@ -1,5 +1,6 @@
 """Parsing and labelling, round-trips, and synthetic topic generation."""
 
+import contextlib
 import math
 import tempfile
 from pathlib import Path
@@ -7,10 +8,11 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from tarstop import corpus
 from tarstop.cli import main
 from tarstop.corpus import (
     RankedTopic,
@@ -207,6 +209,48 @@ class TestParseRun:
         assert [t.topic_id for t in parse_run(text, {})] == ["T1", "T2"]
 
 
+class TestDuplicateCheck:
+    """Ids are checked a batch at a time against the sorted hashes of the
+    topic's earlier batches."""
+
+    def test_topics_of_one_batch_are_never_hashed(self, monkeypatch):
+        def no_hash(doc_id):
+            raise AssertionError(f"{doc_id!r} hashed")
+
+        monkeypatch.setattr(corpus, "_BATCH", 3)
+        monkeypatch.setattr(corpus, "hash", no_hash, raising=False)
+        text = "T1 Q0 a 1 1 x\nT1 Q0 b 2 1 x\nT1 Q0 c 3 1 x\nT2 Q0 a 1 1 x\n"
+        assert labels_of(parse_run(text, {"T1": {"c"}})) == {
+            "T1": [False, False, True], "T2": [False]}
+        assert parse_qrels("T1 0 a 1\nT1 0 b 1\nT1 0 c 1\nT2 0 a 1\n") == {
+            "T1": frozenset("abc"), "T2": frozenset("a")}
+
+    def test_a_collision_sends_only_its_batch_to_the_exact_check(self, monkeypatch):
+        # x0 and x5 hash alike; with two ids a batch, x5 comes in the third
+        rechecks = []
+        recheck = corpus._TopicIds._recheck
+
+        def counted(self, repeated):
+            rechecks.append(sorted(self.batch))
+            recheck(self, repeated)
+
+        monkeypatch.setattr(corpus, "_BATCH", 2)
+        monkeypatch.setattr(corpus, "hash", lambda doc_id: 0 if doc_id in ("x0", "x5")
+                            else hash(doc_id), raising=False)
+        monkeypatch.setattr(corpus._TopicIds, "_recheck", counted)
+        text = "".join(f"T Q0 x{r} {r + 1} 1 t\n" for r in range(10))
+        (topic,) = parse_run(text, {"T": {"x5"}})
+        assert np.flatnonzero(topic.labels).tolist() == [5]
+        assert rechecks == [["x4", "x5"]]
+
+    def test_duplicate_across_batches_names_its_own_line(self):
+        lines = [f"T Q0 d{r} {r} 1 t" for r in range(1, 10_001)]
+        lines[9_000] = "T Q0 d17 9001 1 t"  # repeats line 17, three batches back
+        lines[9_500] = "T Q0 d1 9501 x t"  # a later malformed line
+        with pytest.raises(DuplicateEntryError, match=r"^line 9001: doc 'd17' listed twice"):
+            parse_run("\n".join(lines), {})
+
+
 class TestLabels:
     def test_missing_from_qrels_is_nonrelevant(self):
         qrels = parse_qrels("T1 0 d1 1")
@@ -333,6 +377,18 @@ class TestGenerateSynthetic:
         # a = 3 would be an invalid Bernoulli probability without clamping
         spec = SyntheticSpec(n=50, kind="uniform", params={"a": 3.0}, seed=4)
         assert generate_synthetic(spec).total_relevant == 50
+
+    @pytest.mark.parametrize("kind, params, relevant", [
+        ("hyperbolic", {"a": 0.5, "b": 0.5, "c": 1e308}, []),
+        ("exponential", {"a": 0.5, "b": -1e308}, []),
+        # the rate at rank 1 is 1e308 / (1 + 1e308) = 1, and 0 past it
+        ("hyperbolic", {"a": 1e308, "b": 1.0, "c": 1e308}, [0]),
+    ])
+    def test_extreme_parameters_overflow_to_their_limits(self, kind, params, relevant):
+        # b * x or b * c * x overflows to inf, whose rate is 0; numpy's
+        # overflow warning is an error under the test settings
+        spec = SyntheticSpec(n=300, kind=kind, params=params, seed=3)
+        assert np.flatnonzero(generate_synthetic(spec).labels).tolist() == relevant
 
 
 # --- property tests against the per-line parser ---------------------------
@@ -544,34 +600,98 @@ def _mangled(draw, data: bytes) -> bytes:
     return bytes(data)
 
 
+def _check_parse_run(text, qrels):
+    """``parse_run`` on the text, whole and as lines, against the per-line oracle."""
+    expected = _outcome(_reference_parse_run, text)
+    if isinstance(expected, dict):
+        expected = _reference_join(expected, qrels)
+    relevant = _relevant_sets(
+        {(t, d): rel for t, docs in qrels.items() for d, rel in docs.items()})
+    for source in _two_ways(text):
+        run = _outcome(lambda lines: parse_run(lines, relevant), source)
+        if isinstance(run, tuple):  # an error: type, line and message
+            assert run == expected
+        else:
+            assert labels_of(run) == expected
+            assert [t.topic_id for t in run] == list(expected)
+
+
+def _check_parse_qrels(text):
+    """``parse_qrels`` on the text, whole and as lines, against the per-line oracle."""
+    expected = _outcome(_reference_parse_qrels, text)
+    for source in _two_ways(text):
+        qrels = _outcome(parse_qrels, source)
+        if isinstance(qrels, tuple):  # an error: type, line and message
+            assert qrels == expected
+        else:
+            assert qrels == _relevant_sets(expected)
+            assert list(qrels) == list(dict.fromkeys(t for t, _ in expected))
+
+
+@contextlib.contextmanager
+def _duplicate_check(batch: int, constant_hash: bool):
+    """The parsers' duplicate check with batches of ``batch`` ids and, if
+    ``constant_hash``, every id hashed alike, so that each check of a batch
+    against the topic's earlier ids takes the exact re-check."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_BATCH", batch)
+        if constant_hash:
+            patch.setattr(corpus, "hash", lambda doc_id: 7, raising=False)
+        yield
+
+
+# Cases the small-batch checks must meet (three ids a batch): a topic that
+# comes back, duplicates in a pending batch followed by a malformed line or
+# by a duplicate within the batch, and one at the last line.
+_RUN_CASES = [
+    "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT1 Q0 d4 4 1 x\n"
+    "T2 Q0 d1 1 1 x\nT1 Q0 d5 5 1 x\nT1 Q0 d2 6 1 x\nT1 Q0 d6 7 1 x",
+    "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT1 Q0 d1 4 1 x\nT1 Q0 d4 x 1 x",
+    "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT1 Q0 d4 4 1 x\n"
+    "T1 Q0 d2 5 1 x\nT1 Q0 d4 6 1 x",
+    "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT1 Q0 d4 4 1 x\nT1 Q0 d3 5 1 x",
+]
+_QRELS_CASES = [
+    "T1 0 d1 1\nT1 0 d2 0\nT1 0 d3 1\nT1 0 d4 1\nT2 0 d1 1\nT1 0 d5 0\nT1 0 d2 1",
+    "T1 0 d1 1\nT1 0 d2 0\nT1 0 d3 1\nT1 0 d1 1\nT1 0 d4",
+    "T1 0 d1 1\nT1 0 d2 0\nT1 0 d3 1\nT1 0 d4 1\nT1 0 d2 0\nT1 0 d4 1",
+]
+
+
 class TestParserProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_run_text, _judgments)
     def test_parse_run_matches_per_line_reference(self, text, qrels):
-        expected = _outcome(_reference_parse_run, text)
-        if isinstance(expected, dict):
-            expected = _reference_join(expected, qrels)
-        relevant = _relevant_sets(
-            {(t, d): rel for t, docs in qrels.items() for d, rel in docs.items()})
-        for source in _two_ways(text):
-            run = _outcome(lambda lines: parse_run(lines, relevant), source)
-            if isinstance(run, tuple):  # an error: type, line and message
-                assert run == expected
-            else:
-                assert labels_of(run) == expected
-                assert [t.topic_id for t in run] == list(expected)
+        _check_parse_run(text, qrels)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_qrels_text)
     def test_parse_qrels_matches_per_line_reference(self, text):
-        expected = _outcome(_reference_parse_qrels, text)
-        for source in _two_ways(text):
-            qrels = _outcome(parse_qrels, source)
-            if isinstance(qrels, tuple):  # an error: type, line and message
-                assert qrels == expected
-            else:
-                assert qrels == _relevant_sets(expected)
-                assert list(qrels) == list(dict.fromkeys(t for t, _ in expected))
+        _check_parse_qrels(text)
+
+    @pytest.mark.parametrize("constant_hash", [False, True])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(text=_run_text, qrels=_judgments)
+    @example(text="\n".join(_RUN_CASES[0].splitlines()[:7]), qrels={"T1": {"d2": 1}})
+    @example(text=_RUN_CASES[0], qrels={})
+    @example(text=_RUN_CASES[1], qrels={})
+    @example(text=_RUN_CASES[2], qrels={})
+    @example(text=_RUN_CASES[3], qrels={})
+    def test_parse_run_in_small_batches(self, batch, constant_hash, text, qrels):
+        with _duplicate_check(batch, constant_hash):
+            _check_parse_run(text, qrels)
+
+    @pytest.mark.parametrize("constant_hash", [False, True])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(text=_qrels_text)
+    @example(text=_QRELS_CASES[0])
+    @example(text=_QRELS_CASES[1])
+    @example(text=_QRELS_CASES[2])
+    def test_parse_qrels_in_small_batches(self, batch, constant_hash, text):
+        with _duplicate_check(batch, constant_hash):
+            _check_parse_qrels(text)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(

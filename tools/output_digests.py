@@ -16,6 +16,14 @@ is) and runs the program of this checkout (``src/``) on every variant:
 It prints one sha256 per command, over every file the command wrote, with
 a label naming the seed, the variant and the command. Run it at two
 commits and compare the lines. Nothing it writes outlives the run.
+
+The commands run under the caller's ``PYTHONHASHSEED``, or 0 if it is
+unset. No output may depend on it, so two hash seeds must print the
+same lines:
+
+    PYTHONHASHSEED=0 python3 tools/output_digests.py --seeds 1 > digests-0.txt
+    PYTHONHASHSEED=1 python3 tools/output_digests.py --seeds 1 > digests-1.txt
+    diff digests-0.txt digests-1.txt
 """
 
 from __future__ import annotations
@@ -52,7 +60,8 @@ def _digest(args: list[str], out_dir: Path) -> str:
     """Run one command; hash the files it wrote, in name order."""
     out_dir.mkdir()
     suffix = ".csv" if "csv" in args else ".json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.setdefault("PYTHONHASHSEED", "0")
     subprocess.run(
         [sys.executable, "-m", "tarstop.cli", *args, "--output", str(out_dir / f"out{suffix}")],
         cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL,
