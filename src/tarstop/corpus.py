@@ -136,98 +136,129 @@ def _lines(source: str | Iterable[str]) -> Iterable[str]:
 _BATCH = 4096
 
 
+class _Ids:
+    """One topic's ids, as ``_TopicIds`` keeps them."""
+
+    __slots__ = ("topic", "batch", "strings", "runs", "back")
+
+    def __init__(self, topic: str):
+        self.topic = topic
+        self.batch: dict[str, int] = {}  # the latest ids: {doc_id: line}
+        self.strings: list[str] = []  # the earlier ids, space-joined, one per batch
+        self.runs: list[np.ndarray] | None = None  # their sorted hashes
+        self.back = False  # whether the topic's lines came back after another's
+
+
 class _TopicIds:
     """The duplicate check of a file that lists a topic's lines together.
 
-    The parser checks each id against ``batch``, a dict ``{doc_id: line}``
-    of the current topic's latest ids, adds it, and calls ``flush`` once
-    the batch holds ``_BATCH`` ids. A flush checks the batch against the
-    topic's earlier ids. Those are kept as one space-joined string per
-    batch (an id holds no whitespace) and, once the topic has more than
-    one batch, as a sorted int64 array of their ``hash`` values: 8 bytes
-    an id, where a set takes about 100. The batch's hashes are merged in,
-    and a new pair of equal neighbours sends the batch to an exact check
-    against the strings, so a collision of two different ids is no error.
-    The count of such pairs is kept, so a collision sends only the batch
-    that makes it to the exact check. A topic of one batch or less is never
-    hashed. A finished topic keeps its strings only, and if its lines come
-    back, its hashes are rebuilt from them.
+    The parser checks each id against the batch that ``start`` returns, a
+    dict ``{doc_id: line}`` of the topic's latest ids, adds it, and calls
+    ``flush`` once the batch holds ``_BATCH`` ids. A flush checks the batch
+    against the topic's earlier ids. Those are kept as one space-joined
+    string per batch (an id holds no whitespace) and, once the topic has
+    more than one batch, as sorted int64 runs of their ``hash`` values:
+    8 bytes an id, where a set takes about 100. Each run holds more than
+    twice the ids of the next, so a topic of n ids has at most log2(n) + 1
+    runs, and its merges cost O(n log n) in all. The batch's ids whose
+    hash is in a run go to an exact check against the strings, so a
+    collision of two different ids is no error, and it sends only the
+    batch that makes it there. A topic of one batch or less, in one block,
+    is never hashed.
 
-    Used as a context manager, it flushes the last batch when the parse
-    ends, and before any parse error on a line leaves it: a duplicate in
-    the pending batch is on an earlier line, so it is the error raised.
+    A topic change flushes the batch, and the finished topic keeps its
+    strings only. If its lines come back, its hashes are rebuilt from them
+    once; from then on the topic keeps its hashes and its pending batch
+    while other topics' lines come, so topics whose lines alternate cost
+    no flush for each change.
+
+    Used as a context manager, it flushes every pending batch when the
+    parse ends, and before any parse error on a line leaves it, and raises
+    the duplicate on the smallest line. Each pending line comes before the
+    error's, so the first duplicate wins over any later error.
     """
 
     def __init__(self, message):
         self._message = message  # (topic, doc_id) -> the duplicate error's text
-        self.batch: dict[str, int] = {}
-        self._topic: str | None = None
-        self._strings: list[str] = []
-        self._hashes: np.ndarray | None = None
-        self._collisions = 0  # pairs of equal neighbours in _hashes: different ids
-        self._finished: dict[str, list[str]] = {}
+        self._topics: dict[str, _Ids] = {}
+        self._current: _Ids | None = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, exc, tb):
         # an error of the source itself names no line and wins as it stands
-        if exc is None or (isinstance(exc, ParseError) and exc.line is not None):
-            self.flush()
+        if exc is not None and not (isinstance(exc, ParseError) and exc.line is not None):
+            return
+        errors = [] if exc is None else [exc]
+        for ids in self._topics.values():
+            try:
+                self._flush(ids)
+            except DuplicateEntryError as error:
+                errors.append(error)
+        first = min(errors, key=lambda error: error.line, default=exc)
+        if first is not exc:
+            raise first from None
 
-    def start(self, topic: str) -> None:
-        """Start a block of ``topic``'s lines."""
-        self.flush()
-        if self._topic is not None:
-            self._finished[self._topic] = self._strings
-        self._topic, self._hashes = topic, None
-        self._strings = self._finished.pop(topic, [])
+    def start(self, topic: str) -> dict[str, int]:
+        """Start a block of ``topic``'s lines; return the batch its ids go to."""
+        current = self._current
+        if current is not None and not current.back:
+            self._flush(current)
+            current.runs = None
+        ids = self._topics.get(topic)
+        if ids is None:
+            ids = self._topics[topic] = _Ids(topic)
+        else:
+            ids.back = True
+        self._current = ids
+        return ids.batch
 
     def duplicate(self, doc_id: str, line: int) -> DuplicateEntryError:
-        return DuplicateEntryError(self._message(self._topic, doc_id), line)
+        return DuplicateEntryError(self._message(self._current.topic, doc_id), line)
 
     def flush(self) -> None:
-        """Check the batch against the topic's earlier ids and add it to them;
-        raise DuplicateEntryError at the first line that repeats one."""
-        batch = self.batch
+        """Check the current topic's batch against its earlier ids and add it
+        to them; raise DuplicateEntryError at the first line that repeats one."""
+        self._flush(self._current)
+
+    def _flush(self, ids: _Ids) -> None:
+        batch = ids.batch
         if not batch:
             return
-        if self._strings:
-            if self._hashes is None:
-                self._hashes = np.sort(np.fromiter(
-                    map(hash, chain.from_iterable(s.split(" ") for s in self._strings)),
+        if ids.strings:
+            runs = ids.runs
+            if runs is None:
+                runs = ids.runs = [np.sort(np.fromiter(
+                    map(hash, chain.from_iterable(s.split(" ") for s in ids.strings)),
                     np.int64,
-                ))
-                self._collisions = _repeated(self._hashes).size
+                ))]
             new = np.sort(np.fromiter(map(hash, batch), np.int64, len(batch)))
-            # a stable sort of two sorted runs is one merge
-            merged = np.concatenate((self._hashes, new))
-            merged.sort(kind="stable")
-            repeated = _repeated(merged)
-            if repeated.size > self._collisions:
-                self._recheck(set(repeated.tolist()))
-                self._collisions = repeated.size  # different ids: no error
-            self._hashes = merged
-        self._strings.append(" ".join(batch))
+            found = np.zeros(new.size, dtype=bool)
+            for run in runs:  # sorted keys search a run about 3 times as fast
+                found |= run.take(run.searchsorted(new), mode="clip") == new
+            if found.any():
+                self._recheck(ids, set(new[found].tolist()))
+            runs.append(new)
+            while len(runs) > 1 and runs[-2].size <= 2 * runs[-1].size:
+                merged = np.concatenate(runs[-2:])
+                merged.sort(kind="stable")  # of two sorted runs: one merge
+                runs[-2:] = [merged]
+        ids.strings.append(" ".join(batch))
         batch.clear()
 
-    def _recheck(self, repeated: set[int]) -> None:
+    def _recheck(self, ids: _Ids, hashes: set[int]) -> None:
         """Raise at the first line of the batch whose id is an earlier one
-        of the topic, among the ids whose hash is in ``repeated``."""
-        batch = self.batch
-        suspects = {doc_id for doc_id in batch if hash(doc_id) in repeated}
-        earlier = [doc_id for s in self._strings for doc_id in s.split(" ")
+        of the topic, among the ids whose hash is in ``hashes``."""
+        batch = ids.batch
+        suspects = {doc_id for doc_id in batch if hash(doc_id) in hashes}
+        earlier = [doc_id for s in ids.strings for doc_id in s.split(" ")
                    if doc_id in suspects]
         if earlier:
             doc_id = min(earlier, key=batch.__getitem__)
-            error = self.duplicate(doc_id, batch[doc_id])
+            error = DuplicateEntryError(self._message(ids.topic, doc_id), batch[doc_id])
             batch.clear()  # so the flush of an exiting parse adds nothing
             raise error from None
-
-
-def _repeated(hashes: np.ndarray) -> np.ndarray:
-    """The second of each pair of equal neighbours in sorted ``hashes``."""
-    return hashes[1:][hashes[1:] == hashes[:-1]]
 
 
 def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
@@ -244,7 +275,6 @@ def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
     size = _BATCH
     current = None
     with _TopicIds(lambda topic, doc_id: f"duplicate qrels entry for {(topic, doc_id)}") as ids:
-        batch = ids.batch
         for lineno, raw in enumerate(_lines(source), start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
@@ -260,7 +290,7 @@ def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
                 raise ParseError(f"relevance {rel_str!r} is not an integer", lineno) from None
             if topic != current:  # qrels list a topic's lines together
                 current = topic
-                ids.start(topic)
+                batch = ids.start(topic)
                 found = relevant.setdefault(topic, [])
             if doc_id in batch:
                 raise ids.duplicate(doc_id, lineno)
@@ -305,7 +335,6 @@ def parse_run(
     size = _BATCH
     current = None
     with _TopicIds(lambda topic, doc_id: f"doc {doc_id!r} listed twice for topic {topic!r}") as ids:
-        batch = ids.batch
         for lineno, raw in enumerate(_lines(source), start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
@@ -326,7 +355,7 @@ def parse_run(
                 raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
             if topic != current:  # runs list a topic's lines together
                 current = topic
-                ids.start(topic)
+                batch = ids.start(topic)
                 labels, ranks = by_topic.setdefault(topic, (bytearray(), None))
                 relevant = qrels.get(topic, ())
             if doc_id in batch:

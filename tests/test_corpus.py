@@ -230,9 +230,9 @@ class TestDuplicateCheck:
         rechecks = []
         recheck = corpus._TopicIds._recheck
 
-        def counted(self, repeated):
-            rechecks.append(sorted(self.batch))
-            recheck(self, repeated)
+        def counted(self, ids, hashes):
+            rechecks.append(sorted(ids.batch))
+            recheck(self, ids, hashes)
 
         monkeypatch.setattr(corpus, "_BATCH", 2)
         monkeypatch.setattr(corpus, "hash", lambda doc_id: 0 if doc_id in ("x0", "x5")
@@ -242,6 +242,65 @@ class TestDuplicateCheck:
         (topic,) = parse_run(text, {"T": {"x5"}})
         assert np.flatnonzero(topic.labels).tolist() == [5]
         assert rechecks == [["x4", "x5"]]
+
+    def test_interleaved_topics_hash_each_id_a_bounded_number_of_times(self, monkeypatch):
+        # two topics that alternate line by line: every line changes the
+        # topic, so every batch holds one id
+        calls, flushes = [], []
+        flush = corpus._TopicIds._flush
+
+        def counted(doc_id):
+            calls.append(doc_id)
+            return hash(doc_id)
+
+        def observed(self, ids):
+            flushes.append(len(ids.batch))
+            flush(self, ids)
+
+        monkeypatch.setattr(corpus, "_BATCH", 256)
+        monkeypatch.setattr(corpus, "hash", counted, raising=False)
+        monkeypatch.setattr(corpus._TopicIds, "_flush", observed)
+        n = 2000
+        text = "".join(f"T{r % 2} Q0 d{r} {r // 2 + 1} 1 t\n" for r in range(n))
+        assert [t.n for t in parse_run(text, {})] == [n // 2, n // 2]
+        assert len(calls) <= n
+        # each topic flushes a one-id batch when it first ends, then only
+        # full batches and its last one
+        assert len([size for size in flushes if size]) <= 2 * (2 + n // 2 // 256 + 1)
+        calls.clear()
+        flushes.clear()
+        qrels = "".join(f"T{r % 2} 0 d{r} 1\n" for r in range(n))
+        assert [len(found) for found in parse_qrels(qrels).values()] == [n // 2, n // 2]
+        assert len(calls) <= n
+        assert len([size for size in flushes if size]) <= 2 * (2 + n // 2 // 256 + 1)
+
+    def test_each_run_is_more_than_twice_the_next(self, monkeypatch):
+        sizes = []
+        flush = corpus._TopicIds._flush
+
+        def observed(self, ids):
+            flush(self, ids)
+            sizes.append([run.size for run in ids.runs or ()])
+
+        monkeypatch.setattr(corpus, "_BATCH", 3)
+        monkeypatch.setattr(corpus._TopicIds, "_flush", observed)
+        # one topic, then a second that comes back in blocks of 1 to 4 lines
+        lines = [f"A Q0 a{r} {r + 1} 1 t" for r in range(300)]
+        for r in range(300):
+            lines.append(f"{'BC'[r % 7 == 0]} Q0 b{r} {r + 1} 1 t")
+        parse_run("\n".join(lines), {})
+        assert max(len(s) for s in sizes) <= 300 .bit_length() + 1
+        for s in sizes:
+            assert all(first > 2 * second for first, second in zip(s, s[1:])), s
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_a_repeat_of_any_earlier_id_is_found(self, monkeypatch, batch):
+        # the earlier ids' hashes lie in runs of several sizes
+        monkeypatch.setattr(corpus, "_BATCH", batch)
+        lines = [f"T Q0 d{r} {r} 1 t" for r in range(1, 31)]
+        for r in range(1, 31):
+            with pytest.raises(DuplicateEntryError, match=fr"^line 31: doc 'd{r}' listed twice"):
+                parse_run("\n".join([*lines, f"T Q0 d{r} 31 1 t"]), {})
 
     def test_duplicate_across_batches_names_its_own_line(self):
         lines = [f"T Q0 d{r} {r} 1 t" for r in range(1, 10_001)]
@@ -642,7 +701,11 @@ def _duplicate_check(batch: int, constant_hash: bool):
 
 # Cases the small-batch checks must meet (three ids a batch): a topic that
 # comes back, duplicates in a pending batch followed by a malformed line or
-# by a duplicate within the batch, and one at the last line.
+# by a duplicate within the batch, and one at the last line. In the last
+# four, two topics alternate and both come back, and the first topic's
+# pending batch holds a duplicate while the other's lines come: followed by
+# a duplicate within the other's batch, by one its full batch finds, by a
+# malformed line, and by the end of the input.
 _RUN_CASES = [
     "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT1 Q0 d4 4 1 x\n"
     "T2 Q0 d1 1 1 x\nT1 Q0 d5 5 1 x\nT1 Q0 d2 6 1 x\nT1 Q0 d6 7 1 x",
@@ -650,11 +713,26 @@ _RUN_CASES = [
     "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT1 Q0 d4 4 1 x\n"
     "T1 Q0 d2 5 1 x\nT1 Q0 d4 6 1 x",
     "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT1 Q0 d4 4 1 x\nT1 Q0 d3 5 1 x",
+    "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT2 Q0 d1 1 1 x\nT1 Q0 d4 4 1 x\n"
+    "T2 Q0 d2 2 1 x\nT1 Q0 d2 5 1 x\nT2 Q0 d3 3 1 x\nT2 Q0 d2 4 1 x",
+    "T1 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT1 Q0 d3 3 1 x\nT2 Q0 d1 1 1 x\nT2 Q0 d2 2 1 x\n"
+    "T2 Q0 d3 3 1 x\nT1 Q0 d4 4 1 x\nT2 Q0 d4 4 1 x\nT1 Q0 d1 5 1 x\nT2 Q0 d5 5 1 x\n"
+    "T2 Q0 d1 6 1 x",
+    "T1 Q0 d1 1 1 x\nT2 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT2 Q0 d2 2 1 x\nT1 Q0 d1 3 1 x\n"
+    "T2 Q0 d3 x 1 x",
+    "T1 Q0 d1 1 1 x\nT2 Q0 d1 1 1 x\nT1 Q0 d2 2 1 x\nT2 Q0 d2 2 1 x\nT1 Q0 d1 3 1 x\n"
+    "T2 Q0 d3 3 1 x",
 ]
 _QRELS_CASES = [
     "T1 0 d1 1\nT1 0 d2 0\nT1 0 d3 1\nT1 0 d4 1\nT2 0 d1 1\nT1 0 d5 0\nT1 0 d2 1",
     "T1 0 d1 1\nT1 0 d2 0\nT1 0 d3 1\nT1 0 d1 1\nT1 0 d4",
     "T1 0 d1 1\nT1 0 d2 0\nT1 0 d3 1\nT1 0 d4 1\nT1 0 d2 0\nT1 0 d4 1",
+    "T1 0 d1 1\nT1 0 d2 0\nT1 0 d3 1\nT2 0 d1 1\nT1 0 d4 1\nT2 0 d2 0\nT1 0 d2 1\n"
+    "T2 0 d3 1\nT2 0 d2 1",
+    "T1 0 d1 1\nT1 0 d2 1\nT1 0 d3 1\nT2 0 d1 1\nT2 0 d2 1\nT2 0 d3 1\nT1 0 d4 1\n"
+    "T2 0 d4 1\nT1 0 d1 0\nT2 0 d5 1\nT2 0 d1 1",
+    "T1 0 d1 1\nT2 0 d1 1\nT1 0 d2 1\nT2 0 d2 1\nT1 0 d1 1\nT2 0 d3",
+    "T1 0 d1 1\nT2 0 d1 1\nT1 0 d2 1\nT2 0 d2 1\nT1 0 d1 1\nT2 0 d3 1",
 ]
 
 
@@ -678,6 +756,10 @@ class TestParserProperties:
     @example(text=_RUN_CASES[1], qrels={})
     @example(text=_RUN_CASES[2], qrels={})
     @example(text=_RUN_CASES[3], qrels={})
+    @example(text=_RUN_CASES[4], qrels={})
+    @example(text=_RUN_CASES[5], qrels={})
+    @example(text=_RUN_CASES[6], qrels={})
+    @example(text=_RUN_CASES[7], qrels={"T1": {"d2": 1}})
     def test_parse_run_in_small_batches(self, batch, constant_hash, text, qrels):
         with _duplicate_check(batch, constant_hash):
             _check_parse_run(text, qrels)
@@ -689,6 +771,10 @@ class TestParserProperties:
     @example(text=_QRELS_CASES[0])
     @example(text=_QRELS_CASES[1])
     @example(text=_QRELS_CASES[2])
+    @example(text=_QRELS_CASES[3])
+    @example(text=_QRELS_CASES[4])
+    @example(text=_QRELS_CASES[5])
+    @example(text=_QRELS_CASES[6])
     def test_parse_qrels_in_small_batches(self, batch, constant_hash, text):
         with _duplicate_check(batch, constant_hash):
             _check_parse_qrels(text)
