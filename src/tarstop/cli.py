@@ -556,7 +556,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _axis_values(raw: str, flag: str, names: dict | None) -> list:
     """The comma-separated values of one sweep axis: keys of ``names``, or
-    finite numbers when it is None."""
+    finite numbers when it is None, each once in first-occurrence order."""
     values = []
     for entry in (v for v in raw.split(",") if v.strip()):
         if names is None:
@@ -571,7 +571,7 @@ def _axis_values(raw: str, flag: str, names: dict | None) -> list:
         values.append(value)
     if not values:
         raise ConfigError(f"{flag}: at least one value required")
-    return values
+    return list(dict.fromkeys(values))  # 0.9 and 0.90 are one value
 
 
 def _mark_pareto(agg_rows: list[dict]) -> None:

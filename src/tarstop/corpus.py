@@ -16,12 +16,13 @@ ids are checked for duplicates and then dropped. The run is parsed after
 the qrels and labelled line by line as it streams in: each topic becomes
 a ``RankedTopic`` of labels in rank order, so ranks are implicit and
 dense. No doc id outlives the duplicate check, and a topic's rank fields
-are stored only once they stop counting 1, 2, 3, .... That check holds a
-topic's latest ids in a dict of at most ``_BATCH``, and its earlier ones
-as space-joined strings and, past one batch, as sorted 64-bit hashes,
-8 bytes an id where a set of them takes about 100. Documents present
-in a run but absent from the qrels, or judged non-relevant, are labelled
-non-relevant, the standard pooling assumption.
+are stored only once they stop counting 1, 2, 3, .... That check keeps a
+topic's ids as space-joined strings of ``_BATCH`` ids, about a byte a
+character where a set of them takes about 100 bytes an id, and checks
+each topic once, when the parse ends: with a set under ``_BATCH`` ids,
+else by sorting their 64-bit hashes. Documents present in a run but
+absent from the qrels, or judged non-relevant, are labelled non-relevant,
+the standard pooling assumption.
 """
 
 from __future__ import annotations
@@ -131,57 +132,84 @@ def _lines(source: str | Iterable[str]) -> Iterable[str]:
     return source.splitlines() if isinstance(source, str) else source
 
 
-# Ids the duplicate check holds in one dict before it checks them against
-# the topic's earlier ids (see ``_TopicIds``).
+# Ids a topic holds in a list before it joins them into one string (see
+# ``_TopicIds``); a topic of fewer is checked with a set.
 _BATCH = 4096
 
 
 class _Ids:
-    """One topic's ids, as ``_TopicIds`` keeps them."""
+    """One topic's doc ids in file order, as ``_TopicIds`` keeps them."""
 
-    __slots__ = ("topic", "batch", "strings", "runs", "back")
+    __slots__ = ("pending", "strings", "positions", "lines")
 
-    def __init__(self, topic: str):
-        self.topic = topic
-        self.batch: dict[str, int] = {}  # the latest ids: {doc_id: line}
-        self.strings: list[str] = []  # the earlier ids, space-joined, one per batch
-        self.runs: list[np.ndarray] | None = None  # their sorted hashes
-        self.back = False  # whether the topic's lines came back after another's
+    def __init__(self):
+        from array import array  # loaded by the commands that parse only
+
+        self.pending: list[str] = []  # the latest ids, fewer than _BATCH
+        self.strings: list[str] = []  # the earlier ones, _BATCH a space-joined string
+        # per block of the topic's consecutive lines: the position of its
+        # first id among the topic's ids, and its first line
+        self.positions = array("q")
+        self.lines = array("q")
+
+    def first_repeat(self, size: int) -> tuple[int, str] | None:
+        """The line and id of the first id that repeats an earlier one, or None."""
+        strings, pending = self.strings, self.pending
+
+        def every():
+            return chain(chain.from_iterable(s.split(" ") for s in strings), pending)
+
+        suspects = None  # under ``size`` ids, every id is checked exactly
+        if strings:
+            count = len(strings) * size + len(pending)
+            hashes = np.fromiter(map(hash, every()), np.int64, count)
+            hashes.sort()
+            suspects = set()
+            for i in range(1, count, size):  # equal neighbours, with no mask of length count
+                later = hashes[i:i + size]
+                suspects.update(later[later == hashes[i - 1:i - 1 + later.size]].tolist())
+            if not suspects:
+                return None
+        elif len(set(pending)) == len(pending):
+            return None
+        seen = set()
+        for position, doc_id in enumerate(every()):
+            if suspects is None or hash(doc_id) in suspects:
+                if doc_id in seen:
+                    from bisect import bisect_right
+
+                    block = bisect_right(self.positions, position) - 1
+                    return self.lines[block] + position - self.positions[block], doc_id
+                seen.add(doc_id)
+        return None  # only hashes collided
 
 
 class _TopicIds:
-    """The duplicate check of a file that lists a topic's lines together.
+    """The duplicate check of both parsers: each topic's doc ids, checked
+    for a repeat once, when the parse ends.
 
-    The parser checks each id against the batch that ``start`` returns, a
-    dict ``{doc_id: line}`` of the topic's latest ids, adds it, and calls
-    ``flush`` once the batch holds ``_BATCH`` ids. A flush checks the batch
-    against the topic's earlier ids. Those are kept as one space-joined
-    string per batch (an id holds no whitespace) and, once the topic has
-    more than one batch, as sorted int64 runs of their ``hash`` values:
-    8 bytes an id, where a set takes about 100. Each run holds more than
-    twice the ids of the next, so a topic of n ids has at most log2(n) + 1
-    runs, and its merges cost O(n log n) in all. The batch's ids whose
-    hash is in a run go to an exact check against the strings, so a
-    collision of two different ids is no error, and it sends only the
-    batch that makes it there. A topic of one batch or less, in one block,
-    is never hashed.
+    The parser appends each id to the list that ``start`` returns for a
+    block of a topic's consecutive lines, and calls ``join`` once the list
+    holds ``size`` ids, which keeps them as one space-joined string (an id
+    holds no whitespace): about a byte a character, where a set takes
+    about 100 bytes an id. A blank or comment line ends a block, so each
+    id's line follows from the first line of its block.
 
-    A topic change flushes the batch, and the finished topic keeps its
-    strings only. If its lines come back, its hashes are rebuilt from them
-    once; from then on the topic keeps its hashes and its pending batch
-    while other topics' lines come, so topics whose lines alternate cost
-    no flush for each change.
-
-    Used as a context manager, it flushes every pending batch when the
-    parse ends, and before any parse error on a line leaves it, and raises
-    the duplicate on the smallest line. Each pending line comes before the
-    error's, so the first duplicate wins over any later error.
+    Used as a context manager, it checks every topic when the parse ends,
+    and before any parse error on a line leaves it, and raises the
+    duplicate on the smallest line. Each id comes before the error's line,
+    so the first duplicate wins over any later error. A topic of fewer
+    than ``size`` ids is checked with a set. A larger one is hashed once
+    into an int64 array, sorted in place, and only the ids whose hashes
+    are equal go to an exact check, so a collision of two different ids
+    is no error.
     """
 
     def __init__(self, message):
         self._message = message  # (topic, doc_id) -> the duplicate error's text
         self._topics: dict[str, _Ids] = {}
         self._current: _Ids | None = None
+        self.size = _BATCH
 
     def __enter__(self):
         return self
@@ -190,75 +218,28 @@ class _TopicIds:
         # an error of the source itself names no line and wins as it stands
         if exc is not None and not (isinstance(exc, ParseError) and exc.line is not None):
             return
-        errors = [] if exc is None else [exc]
-        for ids in self._topics.values():
-            try:
-                self._flush(ids)
-            except DuplicateEntryError as error:
-                errors.append(error)
-        first = min(errors, key=lambda error: error.line, default=exc)
-        if first is not exc:
-            raise first from None
+        repeats = [(*repeat, topic) for topic, ids in self._topics.items()
+                   if (repeat := ids.first_repeat(self.size))]
+        if repeats:
+            line, doc_id, topic = min(repeats)
+            raise DuplicateEntryError(self._message(topic, doc_id), line) from None
 
-    def start(self, topic: str) -> dict[str, int]:
-        """Start a block of ``topic``'s lines; return the batch its ids go to."""
-        current = self._current
-        if current is not None and not current.back:
-            self._flush(current)
-            current.runs = None
+    def start(self, topic: str, line: int) -> list[str]:
+        """Start a block of ``topic``'s lines at ``line``; return the list
+        its ids go to."""
         ids = self._topics.get(topic)
         if ids is None:
-            ids = self._topics[topic] = _Ids(topic)
-        else:
-            ids.back = True
+            ids = self._topics[topic] = _Ids()
+        ids.positions.append(len(ids.strings) * self.size + len(ids.pending))
+        ids.lines.append(line)
         self._current = ids
-        return ids.batch
+        return ids.pending
 
-    def duplicate(self, doc_id: str, line: int) -> DuplicateEntryError:
-        return DuplicateEntryError(self._message(self._current.topic, doc_id), line)
-
-    def flush(self) -> None:
-        """Check the current topic's batch against its earlier ids and add it
-        to them; raise DuplicateEntryError at the first line that repeats one."""
-        self._flush(self._current)
-
-    def _flush(self, ids: _Ids) -> None:
-        batch = ids.batch
-        if not batch:
-            return
-        if ids.strings:
-            runs = ids.runs
-            if runs is None:
-                runs = ids.runs = [np.sort(np.fromiter(
-                    map(hash, chain.from_iterable(s.split(" ") for s in ids.strings)),
-                    np.int64,
-                ))]
-            new = np.sort(np.fromiter(map(hash, batch), np.int64, len(batch)))
-            found = np.zeros(new.size, dtype=bool)
-            for run in runs:  # sorted keys search a run about 3 times as fast
-                found |= run.take(run.searchsorted(new), mode="clip") == new
-            if found.any():
-                self._recheck(ids, set(new[found].tolist()))
-            runs.append(new)
-            while len(runs) > 1 and runs[-2].size <= 2 * runs[-1].size:
-                merged = np.concatenate(runs[-2:])
-                merged.sort(kind="stable")  # of two sorted runs: one merge
-                runs[-2:] = [merged]
-        ids.strings.append(" ".join(batch))
-        batch.clear()
-
-    def _recheck(self, ids: _Ids, hashes: set[int]) -> None:
-        """Raise at the first line of the batch whose id is an earlier one
-        of the topic, among the ids whose hash is in ``hashes``."""
-        batch = ids.batch
-        suspects = {doc_id for doc_id in batch if hash(doc_id) in hashes}
-        earlier = [doc_id for s in ids.strings for doc_id in s.split(" ")
-                   if doc_id in suspects]
-        if earlier:
-            doc_id = min(earlier, key=batch.__getitem__)
-            error = DuplicateEntryError(self._message(ids.topic, doc_id), batch[doc_id])
-            batch.clear()  # so the flush of an exiting parse adds nothing
-            raise error from None
+    def join(self) -> None:
+        """Keep the current topic's pending ids as one string."""
+        pending = self._current.pending
+        self._current.strings.append(" ".join(pending))
+        pending.clear()
 
 
 def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
@@ -272,12 +253,13 @@ def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
     relevance.
     """
     relevant: dict[str, list[str]] = {}
-    size = _BATCH
     current = None
     with _TopicIds(lambda topic, doc_id: f"duplicate qrels entry for {(topic, doc_id)}") as ids:
+        size = ids.size
         for lineno, raw in enumerate(_lines(source), start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
+                current = None  # ends the block
                 continue
             if len(parts) != 4:
                 raise ParseError(
@@ -290,13 +272,11 @@ def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
                 raise ParseError(f"relevance {rel_str!r} is not an integer", lineno) from None
             if topic != current:  # qrels list a topic's lines together
                 current = topic
-                batch = ids.start(topic)
+                pending = ids.start(topic, lineno)
                 found = relevant.setdefault(topic, [])
-            if doc_id in batch:
-                raise ids.duplicate(doc_id, lineno)
-            batch[doc_id] = lineno
-            if len(batch) == size:
-                ids.flush()
+            pending.append(doc_id)
+            if len(pending) == size:
+                ids.join()
             if rel > 0:
                 found.append(doc_id)
     return {topic: frozenset(found) for topic, found in relevant.items()}
@@ -332,12 +312,13 @@ def parse_run(
     # None while they are 1, 2, 3, ...). Ranks are 64-bit machine integers
     # unless a topic has one beyond that range.
     by_topic: dict[str, tuple] = {}
-    size = _BATCH
     current = None
     with _TopicIds(lambda topic, doc_id: f"doc {doc_id!r} listed twice for topic {topic!r}") as ids:
+        size = ids.size
         for lineno, raw in enumerate(_lines(source), start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
+                current = None  # ends the block
                 continue
             if len(parts) != 6:
                 raise ParseError(
@@ -355,14 +336,12 @@ def parse_run(
                 raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
             if topic != current:  # runs list a topic's lines together
                 current = topic
-                batch = ids.start(topic)
+                pending = ids.start(topic, lineno)
                 labels, ranks = by_topic.setdefault(topic, (bytearray(), None))
                 relevant = qrels.get(topic, ())
-            if doc_id in batch:
-                raise ids.duplicate(doc_id, lineno)
-            batch[doc_id] = lineno
-            if len(batch) == size:
-                ids.flush()
+            pending.append(doc_id)
+            if len(pending) == size:
+                ids.join()
             labels.append(doc_id in relevant)
             if ranks is None:
                 if rank == len(labels):  # still implicit

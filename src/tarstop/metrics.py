@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import RankedTopic
-from .stopping import Gate, StoppingOutcome
+from .stopping import StoppingOutcome
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,9 @@ def mean_remaining_error(
     total = topic.total_relevant
     errors = []
     for trace in outcome.traces:
-        if trace.gate is not Gate.EVALUATED:
+        # only an evaluated checkpoint has an estimate; reading a gate would
+        # run the fits that the NRMSE floor deferred
+        if trace.estimate is None:
             continue
         actual = total - trace.rel_found
         if actual < 1:

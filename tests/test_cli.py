@@ -713,12 +713,24 @@ class TestSweepCommand:
         assert main(["sweep", *flags(run, qrels), "--rates", "exp,exp",
                      "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert [r["topics"] for r in payload["aggregates"]] == [3, 3]
-        assert len(payload["topics"]) == 2 * 3
+        assert [r["topics"] for r in payload["aggregates"]] == [3]
+        assert len(payload["topics"]) == 3
+
+    def test_repeated_axis_values_sweep_once(self, fixture_files, tmp_path, capsys):
+        # values compare as parsed, so 0.9 and 0.90 are one target recall
+        run, qrels = fixture_files
+        repeated, single = tmp_path / "repeated.json", tmp_path / "single.json"
+        assert main(["sweep", *flags(run, qrels), "--rates", "exp,pow,exp",
+                     "--target-recalls", "0.9,0.90", "--output", str(repeated)]) == 0
+        assert main(["sweep", *flags(run, qrels), "--rates", "exp,pow",
+                     "--target-recalls", "0.9", "--output", str(single)]) == 0
+        assert repeated.read_bytes() == single.read_bytes()
+        rates = [r["rate"] for r in json.loads(single.read_text())["aggregates"]]
+        assert rates == ["exp", "pow"]
 
     def test_oversize_grid_refused(self, fixture_files, capsys):
         run, qrels = fixture_files
-        levels = ",".join(str(0.5 + i / 10000) for i in 20 * list(range(50)))
+        levels = ",".join(str(0.5 + i / 10000) for i in range(1000))
         thresholds = ",".join(str(0.05 + i / 1000) for i in range(11))
         assert main(["sweep", *flags(run, qrels), "--rates", "exp",
                      "--target-recalls", levels,

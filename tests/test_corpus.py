@@ -209,89 +209,103 @@ class TestParseRun:
         assert [t.topic_id for t in parse_run(text, {})] == ["T1", "T2"]
 
 
-class TestDuplicateCheck:
-    """Ids are checked a batch at a time against the sorted hashes of the
-    topic's earlier batches."""
+def _record(which: str, topic: str, doc: str, rank: int) -> str:
+    """One line of a run, or of qrels, that lists ``doc`` for ``topic``."""
+    return f"{topic} Q0 {doc} {rank} 1 x" if which == "run" else f"{topic} 0 {doc} 1"
 
-    def test_topics_of_one_batch_are_never_hashed(self, monkeypatch):
+
+def _parse(which: str, lines: list[str]):
+    text = "\n".join(lines)
+    return parse_run(text, {}) if which == "run" else parse_qrels(text)
+
+
+def _duplicate_line(which: str, lines: list[str]) -> int:
+    with pytest.raises(DuplicateEntryError) as raised:
+        _parse(which, lines)
+    return raised.value.line
+
+
+class TestDuplicateCheck:
+    """Each topic's ids are checked once, when the parse ends: with a set
+    under one batch, else through their sorted hashes."""
+
+    @pytest.mark.parametrize("batch", [3, corpus._BATCH])
+    @pytest.mark.parametrize("gap", ["# note", ""])
+    def test_a_duplicate_after_a_comment_or_blank_line_names_its_own_line(
+        self, monkeypatch, gap, batch
+    ):
+        monkeypatch.setattr(corpus, "_BATCH", batch)
+        for which in ("run", "qrels"):
+            lines = [_record(which, "T", f"d{r}", r) for r in range(1, 5)]
+            lines += [gap, _record(which, "T", "d5", 5), _record(which, "T", "d2", 6)]
+            assert _duplicate_line(which, lines) == 7
+
+    @pytest.mark.parametrize("batch", [2, corpus._BATCH])
+    def test_a_duplicate_in_a_topic_that_comes_back_names_its_own_line(
+        self, monkeypatch, batch
+    ):
+        # T1's repeat on line 7 comes before T2's on line 8
+        monkeypatch.setattr(corpus, "_BATCH", batch)
+        for which in ("run", "qrels"):
+            lines = [_record(which, "T1", f"a{r}", r) for r in range(1, 4)]
+            lines += [_record(which, "T2", "b1", 1), _record(which, "T2", "b2", 2)]
+            lines += [_record(which, "T1", "a4", 4), _record(which, "T1", "a2", 5)]
+            lines += [_record(which, "T2", "b1", 3), _record(which, "T1", "a5", 6)]
+            assert _duplicate_line(which, lines) == 7
+
+    def test_topics_under_one_batch_are_never_hashed(self, monkeypatch):
         def no_hash(doc_id):
             raise AssertionError(f"{doc_id!r} hashed")
 
         monkeypatch.setattr(corpus, "_BATCH", 3)
         monkeypatch.setattr(corpus, "hash", no_hash, raising=False)
-        text = "T1 Q0 a 1 1 x\nT1 Q0 b 2 1 x\nT1 Q0 c 3 1 x\nT2 Q0 a 1 1 x\n"
-        assert labels_of(parse_run(text, {"T1": {"c"}})) == {
-            "T1": [False, False, True], "T2": [False]}
-        assert parse_qrels("T1 0 a 1\nT1 0 b 1\nT1 0 c 1\nT2 0 a 1\n") == {
-            "T1": frozenset("abc"), "T2": frozenset("a")}
+        text = "T1 Q0 a 1 1 x\nT1 Q0 b 2 1 x\nT2 Q0 a 1 1 x\nT2 Q0 c 2 1 x\n"
+        assert labels_of(parse_run(text, {"T1": {"b"}})) == {
+            "T1": [False, True], "T2": [False, False]}
+        assert parse_qrels("T1 0 a 1\nT1 0 b 1\nT2 0 a 1\nT2 0 c 0\n") == {
+            "T1": frozenset("ab"), "T2": frozenset("a")}
+        for which in ("run", "qrels"):
+            lines = [_record(which, "T1", "a", 1), _record(which, "T2", "a", 1),
+                     _record(which, "T1", "a", 2)]
+            assert _duplicate_line(which, lines) == 3
 
-    def test_a_collision_sends_only_its_batch_to_the_exact_check(self, monkeypatch):
-        # x0 and x5 hash alike; with two ids a batch, x5 comes in the third
-        rechecks = []
-        recheck = corpus._TopicIds._recheck
+    def test_a_hash_collision_is_no_duplicate(self, monkeypatch):
+        # x0 and x5 hash alike, several batches apart
+        hashed = []
 
-        def counted(self, ids, hashes):
-            rechecks.append(sorted(ids.batch))
-            recheck(self, ids, hashes)
+        def colliding(doc_id):
+            hashed.append(doc_id)
+            return 0 if doc_id in ("x0", "x5") else hash(doc_id)
 
         monkeypatch.setattr(corpus, "_BATCH", 2)
-        monkeypatch.setattr(corpus, "hash", lambda doc_id: 0 if doc_id in ("x0", "x5")
-                            else hash(doc_id), raising=False)
-        monkeypatch.setattr(corpus._TopicIds, "_recheck", counted)
-        text = "".join(f"T Q0 x{r} {r + 1} 1 t\n" for r in range(10))
-        (topic,) = parse_run(text, {"T": {"x5"}})
-        assert np.flatnonzero(topic.labels).tolist() == [5]
-        assert rechecks == [["x4", "x5"]]
+        monkeypatch.setattr(corpus, "hash", colliding, raising=False)
+        for which in ("run", "qrels"):
+            hashed.clear()
+            parsed = _parse(which, [_record(which, "T", f"x{r}", r + 1) for r in range(10)])
+            assert {"x0", "x5"} <= set(hashed)
+            if which == "run":
+                assert [t.n for t in parsed] == [10]
+            else:
+                assert parsed == {"T": frozenset(f"x{r}" for r in range(10))}
 
     def test_interleaved_topics_hash_each_id_a_bounded_number_of_times(self, monkeypatch):
-        # two topics that alternate line by line: every line changes the
-        # topic, so every batch holds one id
-        calls, flushes = [], []
-        flush = corpus._TopicIds._flush
+        # two topics that alternate line by line: every line starts a block
+        calls = []
 
         def counted(doc_id):
             calls.append(doc_id)
             return hash(doc_id)
 
-        def observed(self, ids):
-            flushes.append(len(ids.batch))
-            flush(self, ids)
-
         monkeypatch.setattr(corpus, "_BATCH", 256)
         monkeypatch.setattr(corpus, "hash", counted, raising=False)
-        monkeypatch.setattr(corpus._TopicIds, "_flush", observed)
         n = 2000
         text = "".join(f"T{r % 2} Q0 d{r} {r // 2 + 1} 1 t\n" for r in range(n))
         assert [t.n for t in parse_run(text, {})] == [n // 2, n // 2]
-        assert len(calls) <= n
-        # each topic flushes a one-id batch when it first ends, then only
-        # full batches and its last one
-        assert len([size for size in flushes if size]) <= 2 * (2 + n // 2 // 256 + 1)
+        assert sorted(calls) == sorted(f"d{r}" for r in range(n))
         calls.clear()
-        flushes.clear()
         qrels = "".join(f"T{r % 2} 0 d{r} 1\n" for r in range(n))
         assert [len(found) for found in parse_qrels(qrels).values()] == [n // 2, n // 2]
-        assert len(calls) <= n
-        assert len([size for size in flushes if size]) <= 2 * (2 + n // 2 // 256 + 1)
-
-    def test_each_run_is_more_than_twice_the_next(self, monkeypatch):
-        sizes = []
-        flush = corpus._TopicIds._flush
-
-        def observed(self, ids):
-            flush(self, ids)
-            sizes.append([run.size for run in ids.runs or ()])
-
-        monkeypatch.setattr(corpus, "_BATCH", 3)
-        monkeypatch.setattr(corpus._TopicIds, "_flush", observed)
-        # one topic, then a second that comes back in blocks of 1 to 4 lines
-        lines = [f"A Q0 a{r} {r + 1} 1 t" for r in range(300)]
-        for r in range(300):
-            lines.append(f"{'BC'[r % 7 == 0]} Q0 b{r} {r + 1} 1 t")
-        parse_run("\n".join(lines), {})
-        assert max(len(s) for s in sizes) <= 300 .bit_length() + 1
-        for s in sizes:
-            assert all(first > 2 * second for first, second in zip(s, s[1:])), s
+        assert sorted(calls) == sorted(f"d{r}" for r in range(n))
 
     @pytest.mark.parametrize("batch", [1, 2, 3])
     def test_a_repeat_of_any_earlier_id_is_found(self, monkeypatch, batch):
@@ -690,8 +704,8 @@ def _check_parse_qrels(text):
 @contextlib.contextmanager
 def _duplicate_check(batch: int, constant_hash: bool):
     """The parsers' duplicate check with batches of ``batch`` ids and, if
-    ``constant_hash``, every id hashed alike, so that each check of a batch
-    against the topic's earlier ids takes the exact re-check."""
+    ``constant_hash``, every id hashed alike, so that every topic of more
+    than one batch takes the exact re-check."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus, "_BATCH", batch)
         if constant_hash:

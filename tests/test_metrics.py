@@ -12,6 +12,7 @@ from tarstop.metrics import (
 )
 from tarstop.corpus import SyntheticSpec, generate_synthetic
 from tarstop.rates import RateKind
+from tarstop import stopping
 from tarstop.stopping import StoppingConfig, StoppingOutcome, run_stopping
 
 from conftest import topic_from_labels
@@ -157,6 +158,21 @@ class TestRemainingError:
             assert err == pytest.approx(sum(expected) / len(expected), rel=1e-12)
         else:
             assert err is None
+
+    def test_reads_no_deferred_fit(self, monkeypatch):
+        # the NRMSE floor rejects five of this topic's checkpoints unfitted;
+        # none of them has an estimate, so none need be fitted to be skipped
+        topic = generate_synthetic(
+            SyntheticSpec(n=2000, kind="exponential", params={"a": 0.5, "b": -0.005}, seed=2)
+        )
+        out = run_stopping(topic, StoppingConfig(rate_kind=RateKind.EXPONENTIAL))
+        assert sum(tr._deferred is not None for tr in out.traces) == 5
+
+        def no_fit(*args):
+            raise AssertionError("a deferred fit ran")
+
+        monkeypatch.setattr(stopping, "fit_rate", no_fit)
+        assert mean_remaining_error(out, topic) == 0.0
 
 
 class TestRankingEffectiveness:

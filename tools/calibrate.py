@@ -17,8 +17,8 @@ The topics cover every generator shape, clean and with label noise, so each
 family meets data of its own shape and of the others. The target recall is
 0.99 so that runs screen deep and most checkpoints are evaluated; the other
 settings are the library defaults (confidence 0.95). Everything is seeded,
-so the output is the same on every run of the same code. It takes about a
-minute; it is not part of the test suite.
+so the output is the same on every run of the same code. It takes about
+15 s on a 2-core x86-64 host; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _row(process: str, family: str, bucket: str, runs) -> dict:
     errors = []
     for topic, outcome in runs:
         for trace in outcome.traces:
-            if trace.gate is ts.Gate.EVALUATED:
+            if trace.estimate is not None:  # evaluated, read without settling the gate
                 evaluated += 1
                 remaining = topic.total_relevant - trace.rel_found
                 covered += trace.estimate.upper_bound >= remaining
