@@ -59,6 +59,7 @@ from .stopping import (
     StoppingConfig,
     StoppingOutcome,
     checkpoints,
+    fit_at,
     run_stopping,
     stop_decision,
 )

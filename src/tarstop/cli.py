@@ -31,6 +31,7 @@ from pathlib import Path
 from . import baselines, corpus, metrics, stopping
 from .errors import (
     ConfigError,
+    DuplicateEntryError,
     ParseError,
     TarStopError,
     TopicNotFoundError,
@@ -103,16 +104,19 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGrou
     return g
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
+def _add_io_flags(parser: argparse.ArgumentParser, seed: bool = False) -> None:
+    """Output flags, and ``--seed`` for a subcommand that runs the target
+    methods."""
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--output", type=Path, default=None,
                         help="output file; stdout when omitted")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect "
                              "(topics run one after another)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="base seed of the target and target-adapted samples; "
-                             f"accepted and unused elsewhere (default {DEFAULT_SEED})")
+    if seed:
+        parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                            help="base seed of the target and target-adapted samples "
+                                 f"(default {DEFAULT_SEED})")
 
 
 def _config_from_args(args: argparse.Namespace, **policy) -> stopping.StoppingConfig:
@@ -250,20 +254,30 @@ def _estimate_record(est) -> dict | None:
     }
 
 
-def _trace_record(trace: stopping.IterationTrace) -> dict:
+def _trace_record(
+    trace: stopping.IterationTrace, topic: corpus.RankedTopic, config: stopping.StoppingConfig
+) -> dict:
+    """A checkpoint's record. A checkpoint that the NRMSE floor rejected
+    unfitted is fitted here, so that its record shows the curve, or
+    ``fit_failed`` if the fit fails."""
+    gate, curve = trace.gate, trace.curve
+    if gate is stopping.Gate.NRMSE_REJECTED and curve is None:
+        curve = stopping.fit_at(topic, config, trace.k)
+        if isinstance(curve, TarStopError):
+            gate, curve = stopping.Gate.FIT_FAILED, None
     return {
         "k": trace.k,
         "rel_found": trace.rel_found,
-        "gate": trace.gate.value,
-        "curve": _curve_record(trace.curve),
+        "gate": gate.value,
+        "curve": _curve_record(curve),
         "estimate": _estimate_record(trace.estimate),
         "total_estimate": trace.total_estimate,
         "stop": trace.stop_decision,
     }
 
 
-def _outcome_record(outcome: stopping.StoppingOutcome, with_traces: bool) -> dict:
-    record = {
+def _outcome_record(outcome: stopping.StoppingOutcome) -> dict:
+    return {
         "topic": outcome.topic_id,
         "method": outcome.method,
         "stop_rank": outcome.stop_rank,
@@ -271,9 +285,6 @@ def _outcome_record(outcome: stopping.StoppingOutcome, with_traces: bool) -> dic
         "rel_found": outcome.rel_found,
         "hit_end": outcome.hit_end,
     }
-    if with_traces:
-        record["traces"] = [_trace_record(t) for t in outcome.traces]
-    return record
 
 
 def _metrics_record(tm: metrics.TopicMetrics) -> dict:
@@ -457,10 +468,12 @@ def _write_metrics_outputs(
 def _cmd_stop(args: argparse.Namespace) -> int:
     topics = _load_topics(args.run, args.qrels)
     config = _policy_config(args, args.process)
-    outcomes = [stopping.run_stopping(topic, config) for topic in topics]
-    outcomes.sort(key=lambda o: o.topic_id)
+    outcomes = [stopping.run_stopping(topic, config) for topic in topics]  # by topic id
     as_json = args.format == "json"
-    records = [_outcome_record(o, with_traces=args.trace and as_json) for o in outcomes]
+    records = [_outcome_record(outcome) for outcome in outcomes]
+    if args.trace and as_json:
+        for record, outcome, topic in zip(records, outcomes, topics):
+            record["traces"] = [_trace_record(t, topic, config) for t in outcome.traces]
     if as_json:
         _emit(_json_text({"method": config.process.value, "outcomes": records}), args.output)
     else:
@@ -528,9 +541,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     per_topic = []
+    first_index = {}  # (method, topic) -> index of its first record
     for idx, rec in enumerate(records):
         where = f"{args.outcomes}: outcome record {idx}"
         outcome = _outcome_from_record(rec, where)
+        key = (outcome.method, outcome.topic_id)
+        if key in first_index:
+            raise DuplicateEntryError(
+                f"{where} repeats outcome record {first_index[key]}: method "
+                f"{outcome.method!r}, topic {outcome.topic_id!r}"
+            )
+        first_index[key] = idx
         topic = topics.get(outcome.topic_id)
         if topic is None:
             raise TopicNotFoundError(
@@ -740,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="knee slope-ratio threshold")
     _add_screening_flags(p_cmp)
     _add_policy_flags(p_cmp)
-    _add_io_flags(p_cmp)
+    _add_io_flags(p_cmp, seed=True)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="grid-search stopping configurations")
@@ -763,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rho", type=float, default=6.0)
     _add_screening_flags(p_sim)
     _add_policy_flags(p_sim)
-    _add_io_flags(p_sim)
+    _add_io_flags(p_sim, seed=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
     return parser

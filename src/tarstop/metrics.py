@@ -123,9 +123,7 @@ def mean_remaining_error(
     total = topic.total_relevant
     errors = []
     for trace in outcome.traces:
-        # only an evaluated checkpoint has an estimate; reading a gate would
-        # run the fits that the NRMSE floor deferred
-        if trace.estimate is None:
+        if trace.estimate is None:  # not evaluated
             continue
         actual = total - trace.rel_found
         if actual < 1:

@@ -12,8 +12,8 @@ The loop screens a ranking in batches. At each checkpoint k it:
      best non-increasing sequence through the window means. The NRMSE
      built from that error, the floor, bounds every fit's from below;
      when it exceeds the threshold by a margin that covers rounding, the
-     fit is skipped and the checkpoint rejected. Its trace runs the fit
-     when first read, to report the curve, or a failed fit as such;
+     fit is skipped and the checkpoint rejected with no curve on its
+     trace (``fit_at`` fits that curve on demand);
   4. estimates the relevant documents remaining in ranks k+1..n at the
      configured confidence, forming a total estimate: found so far plus
      the confidence-level upper bound;
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,71 +118,22 @@ class StoppingConfig:
             )
 
 
+@dataclass(frozen=True)
 class IterationTrace:
     """One checkpoint of a run: its gate, and the curve and estimate
     behind it.
 
-    A checkpoint that the NRMSE floor rejects is recorded before its
-    curve is fitted. The first read of ``gate`` or ``curve`` runs that
-    fit, through the topic's cache, and settles the gate: NRMSE_REJECTED
-    with the curve or, when the fit fails, FIT_FAILED without one. Traces
-    compare, hash and print by the settled values.
+    A checkpoint that the NRMSE floor rejects has no curve, since none was
+    fitted; ``fit_at`` fits it on demand.
     """
 
-    __slots__ = ("k", "rel_found", "_gate", "_curve", "estimate", "total_estimate",
-                 "stop_decision", "_deferred")
-
-    def __init__(
-        self, k: int, rel_found: int, gate: Gate | None, curve: RateCurve | None = None,
-        estimate: RemainingEstimate | None = None, total_estimate: float | None = None,
-        stop_decision: bool = False, deferred: tuple[RankedTopic, StoppingConfig] | None = None,
-    ):
-        values = (k, rel_found, gate, curve, estimate, total_estimate, stop_decision, deferred)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def _settle(self) -> None:
-        if self._deferred is not None:
-            topic, config = self._deferred
-            curve = _fit_at(topic, config, self.k)
-            failed = isinstance(curve, TarStopError)
-            object.__setattr__(self, "_gate", Gate.FIT_FAILED if failed else Gate.NRMSE_REJECTED)
-            object.__setattr__(self, "_curve", None if failed else curve)
-            object.__setattr__(self, "_deferred", None)
-
-    @property
-    def gate(self) -> Gate:
-        self._settle()
-        return self._gate
-
-    @property
-    def curve(self) -> RateCurve | None:
-        self._settle()
-        return self._curve
-
-    def _fields(self) -> dict:
-        return {
-            "k": self.k, "rel_found": self.rel_found, "gate": self.gate, "curve": self.curve,
-            "estimate": self.estimate, "total_estimate": self.total_estimate,
-            "stop_decision": self.stop_decision,
-        }
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(tuple(self._fields().values()))
-
-    def __repr__(self):
-        return f"IterationTrace({', '.join(f'{k}={v!r}' for k, v in self._fields().items())})"
-
-    def __reduce__(self):  # for pickle and copy, which would assign the slots
-        return IterationTrace, tuple(self._fields().values())
+    k: int
+    rel_found: int
+    gate: Gate
+    curve: RateCurve | None = None
+    estimate: RemainingEstimate | None = None
+    total_estimate: float | None = None
+    stop_decision: bool = False
 
 
 @dataclass(frozen=True)
@@ -234,9 +185,14 @@ def stop_decision(rel_found: int, total_estimate: float, target_recall: float) -
     return rel_found >= math.ceil(_snap(target_recall * total_estimate))
 
 
-def _fit_at(topic: RankedTopic, config: StoppingConfig, k: int):
-    # The curve at k depends only on labels[:k], the rate family, the window
-    # and n, so every process and policy screening this topic can share it.
+def fit_at(topic: RankedTopic, config: StoppingConfig, k: int) -> RateCurve | TarStopError:
+    """The curve of ``config``'s rate family fitted to ``topic``'s first k
+    labels, or the error that the fit raised.
+
+    The curve depends only on those labels, the rate family, the window and
+    n, so it is fitted once per topic and shared by every process and
+    policy that screens the topic, and by every later call.
+    """
     fits = topic._fits
     key = (config.rate_kind, config.window_size, k)
     if key not in fits:
@@ -343,9 +299,9 @@ def _evaluate_checkpoint(
 
     floor = _nrmse_floor(topic, config.window_size, k)
     if floor > config.nrmse_threshold * (1.0 + _FLOOR_MARGIN):
-        return IterationTrace(k, rel, None, deferred=(topic, config))
+        return IterationTrace(k, rel, Gate.NRMSE_REJECTED)
 
-    curve = _fit_at(topic, config, k)
+    curve = fit_at(topic, config, k)
     if isinstance(curve, TarStopError):
         return IterationTrace(k, rel, Gate.FIT_FAILED)
 

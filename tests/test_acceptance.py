@@ -302,7 +302,7 @@ def test_criterion_10_cli_determinism(tmp_path):
          "params": {"a": 0.05}, "seed": 12},
     ]))
     base = ["--run", str(run), "--qrels", str(qrels), "--alpha", "0.1",
-            "--beta", "0.1", "--window", "10", "--rate", "exp", "--seed", "42"]
+            "--beta", "0.1", "--window", "10", "--rate", "exp"]
 
     outcomes = tmp_path / "outcomes.json"
     assert main(["stop", *base, "--output", str(outcomes)]) == 0
@@ -310,10 +310,10 @@ def test_criterion_10_cli_determinism(tmp_path):
     commands = {
         "stop": ["stop", *base, "--trace"],
         "evaluate": ["evaluate", "--outcomes", str(outcomes), "--run", str(run),
-                     "--qrels", str(qrels), "--seed", "42"],
+                     "--qrels", str(qrels)],
         "compare": ["compare", *base, "--methods",
                     "ip,cox,oracle,target,target-adapted,knee",
-                    "--target-recall", "0.8"],
+                    "--target-recall", "0.8", "--seed", "42"],
         "sweep": ["sweep", *base, "--rates", "exp,pow",
                   "--target-recalls", "0.8,0.9"],
         "simulate": ["simulate", "--spec", str(specs), "--methods",

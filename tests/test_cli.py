@@ -196,6 +196,56 @@ class TestStopCommand:
         )
         assert first["curve"]["variance"] == [None, None, None]
 
+    @pytest.mark.parametrize("extra", [[], ["--rate", "hyp", "--process", "cox"]],
+                             ids=["ip-exp", "cox-hyp"])
+    def test_trace_matches_a_floor_free_run(self, extra, fixture_files, tmp_path, monkeypatch):
+        # the floor rejects most checkpoints of T2 and T3 unfitted; their
+        # records show the curve that a floor-free run fits and rejects
+        from tarstop import stopping
+
+        run, qrels = fixture_files
+        argv = ["stop", *flags(run, qrels), *extra, "--trace", "--output"]
+        assert main([*argv, str(tmp_path / "floor.json")]) == 0
+        monkeypatch.setattr(stopping, "_nrmse_floor", lambda topic, window, k: 0.0)
+        assert main([*argv, str(tmp_path / "eager.json")]) == 0
+        floor = (tmp_path / "floor.json").read_bytes()
+        assert floor == (tmp_path / "eager.json").read_bytes()
+        assert b'"gate": "nrmse_rejected"' in floor
+
+    def test_trace_of_a_floor_rejection_whose_fit_fails(self, tmp_path, monkeypatch):
+        # The floor rejects checkpoints 120-240 of this topic unfitted, and
+        # the fit rejects 280-360. Once the run is done, every fit fails:
+        # only the four records fitted as they are written change.
+        from tarstop import stopping
+        from tarstop.errors import FitFailureError
+
+        rng = np.random.default_rng(4)
+        run, qrels = write_topics(tmp_path, {
+            "T": rng.random(400) < 0.5 * np.exp(-0.02 * np.arange(1, 401))})
+        argv = ["stop", *flags(run, qrels), "--trace", "--output", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        fitted = json.loads((tmp_path / "out.json").read_text())["outcomes"][0]["traces"]
+
+        def failing_fit(*args):
+            raise FitFailureError("did not converge")
+
+        real_run = stopping.run_stopping
+
+        def run_then_fail_fits(topic, config):
+            outcome = real_run(topic, config)
+            monkeypatch.setattr(stopping, "fit_rate", failing_fit)
+            return outcome
+
+        monkeypatch.setattr(stopping, "run_stopping", run_then_fail_fits)
+        assert main(argv) == 0
+        failed = json.loads((tmp_path / "out.json").read_text())["outcomes"][0]["traces"]
+        assert [t["gate"] for t in fitted] == ["too_few_relevant"] * 2 + ["nrmse_rejected"] * 7
+        assert all(t["curve"] is not None for t in fitted[2:])
+        assert [(t["gate"], t["curve"]) for t in failed[2:6]] == [("fit_failed", None)] * 4
+        assert failed[:2] + failed[6:] == fitted[:2] + fitted[6:]
+        assert [{**t, "gate": None, "curve": None} for t in failed] == [
+            {**t, "gate": None, "curve": None} for t in fitted]
+
 
 class TestEvaluateCommand:
     def test_roundtrip_metrics(self, fixture_files, tmp_path, capsys):
@@ -265,12 +315,27 @@ class TestEvaluateCommand:
         assert "not finite" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_repeated_record_exit_3(self, tmp_path, capsys):
+        # a repeat would count its topic twice and weight the means
+        record = {"topic": "X", "method": "ip", "stop_rank": 1,
+                  "docs_examined": 1, "rel_found": 1, "hit_end": False}
+        other = {**record, "method": "target"}
+        assert self.evaluate(tmp_path, record, records=[record, other, record]) == 3
+        err = capsys.readouterr().err
+        assert "DuplicateEntryError" not in err
+        assert "outcome record 2 repeats outcome record 0: method 'ip', topic 'X'" in err
+        assert not (tmp_path / "m.json").exists()
+        assert self.evaluate(tmp_path, record, records=[record, other]) == 0
+        aggregates = json.loads((tmp_path / "m.json").read_text())["aggregates"]
+        assert [(row["method"], row["topics"]) for row in aggregates] == [
+            ("ip", 1), ("target", 1)]
+
     @staticmethod
-    def evaluate(tmp_path, record, *extra) -> int:
+    def evaluate(tmp_path, record, *extra, records=None) -> int:
         # a 2-document topic whose documents are both relevant
         run, qrels = write_topics(tmp_path, {"X": [1, 1]})
         outcomes = tmp_path / "o.json"
-        outcomes.write_text(json.dumps({"outcomes": [record]}))
+        outcomes.write_text(json.dumps({"outcomes": records or [record]}))
         return main(["evaluate", "--outcomes", str(outcomes), "--run", str(run),
                      "--qrels", str(qrels), "--output", str(tmp_path / "m.json"), *extra])
 
@@ -769,13 +834,13 @@ class TestSweepCommand:
 class TestFlagSurface:
     """Each subcommand takes only the flags it reads."""
 
-    IO = {"-h", "--help", "--format", "--output", "--jobs", "--seed"}
+    IO = {"-h", "--help", "--format", "--output", "--jobs"}
     SCREENING = {"--alpha", "--beta", "--batch", "--window", "--cox-grid"}
     POLICY = {"--target-recall", "--confidence", "--rate", "--nrmse-threshold", "--min-rel"}
     INPUTS = {"--run", "--qrels"}
     AXES = {"--processes", "--rates", "--nrmse-thresholds", "--min-rel-rules",
             "--target-recalls", "--confidences"}
-    METHODS = {"--methods", "--target-size", "--rho"}
+    METHODS = {"--methods", "--target-size", "--rho", "--seed"}
     EXPECTED = {
         "stop": INPUTS | {"--trace", "--process"} | SCREENING | POLICY | IO,
         "evaluate": INPUTS | {"--outcomes", "--target-recall"} | IO,
@@ -796,18 +861,24 @@ class TestFlagSurface:
             options = {o for action in sub._actions for o in action.option_strings}
             assert options == self.EXPECTED[name], name
         slots = sum(len(sub._actions) - 1 for sub in subparsers.values())  # bar --help
-        assert slots == 80
+        assert slots == 77
 
-    @pytest.mark.parametrize("command", ["compare", "simulate"])
-    def test_process_flag_refused(self, command, fixture_files, spec_file, capsys):
+    @pytest.mark.parametrize("command, flag, value", [
         # the method names set the process, so the flag would be ignored
+        ("compare", "--process", "cox"),
+        ("simulate", "--process", "cox"),
+        # only the target methods draw a sample
+        ("stop", "--seed", "1"),
+        ("sweep", "--seed", "1"),
+    ])
+    def test_unread_flag_refused(self, command, flag, value, fixture_files, spec_file, capsys):
         run, qrels = fixture_files
         inputs = (["--spec", str(spec_file)] if command == "simulate"
                   else ["--run", str(run), "--qrels", str(qrels)])
         with pytest.raises(SystemExit) as exc:
-            main([command, *inputs, "--process", "cox"])
+            main([command, *inputs, flag, value])
         assert exc.value.code == 2
-        assert "--process" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_sweep_reads_a_singular_spelling_as_its_axis(self, fixture_files, tmp_path):
         # argparse's prefix matching: --rate means --rates once --rate is gone

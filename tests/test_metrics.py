@@ -13,7 +13,7 @@ from tarstop.metrics import (
 from tarstop.corpus import SyntheticSpec, generate_synthetic
 from tarstop.rates import RateKind
 from tarstop import stopping
-from tarstop.stopping import StoppingConfig, StoppingOutcome, run_stopping
+from tarstop.stopping import Gate, StoppingConfig, StoppingOutcome, run_stopping
 
 from conftest import topic_from_labels
 
@@ -159,20 +159,19 @@ class TestRemainingError:
         else:
             assert err is None
 
-    def test_reads_no_deferred_fit(self, monkeypatch):
+    def test_floor_rejections_change_nothing(self, monkeypatch):
         # the NRMSE floor rejects five of this topic's checkpoints unfitted;
-        # none of them has an estimate, so none need be fitted to be skipped
-        topic = generate_synthetic(
-            SyntheticSpec(n=2000, kind="exponential", params={"a": 0.5, "b": -0.005}, seed=2)
-        )
-        out = run_stopping(topic, StoppingConfig(rate_kind=RateKind.EXPONENTIAL))
-        assert sum(tr._deferred is not None for tr in out.traces) == 5
-
-        def no_fit(*args):
-            raise AssertionError("a deferred fit ran")
-
-        monkeypatch.setattr(stopping, "fit_rate", no_fit)
-        assert mean_remaining_error(out, topic) == 0.0
+        # a run without the floor fits them, rejects them, and errs the same
+        spec = SyntheticSpec(n=2000, kind="exponential", params={"a": 0.5, "b": -0.005}, seed=2)
+        topic = generate_synthetic(spec)
+        cfg = StoppingConfig(rate_kind=RateKind.EXPONENTIAL)
+        out = run_stopping(topic, cfg)
+        assert sum(tr.curve is None and tr.gate is Gate.NRMSE_REJECTED for tr in out.traces) == 5
+        monkeypatch.setattr(stopping, "_nrmse_floor", lambda topic, window, k: 0.0)
+        floor_free = generate_synthetic(spec)
+        eager = run_stopping(floor_free, cfg)
+        assert all(tr.curve is not None for tr in eager.traces if tr.gate is Gate.NRMSE_REJECTED)
+        assert mean_remaining_error(out, topic) == mean_remaining_error(eager, floor_free) == 0.0
 
 
 class TestRankingEffectiveness:

@@ -1,7 +1,9 @@
 """Screening-loop behaviour: schedules, gates, stop rule, determinism."""
 
+import copy
 import math
 import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -147,13 +149,15 @@ class TestGates:
         out = run_stopping(topic, cfg)
         assert any(t.gate is Gate.FIT_FAILED for t in out.traces)
 
-    def test_nrmse_gate_records_curve(self):
+    def test_nrmse_gate_rejects_every_curve_above_it(self):
         topic = exp_topic(seed=11)
         cfg = StoppingConfig(rate_kind=RateKind.EXPONENTIAL, nrmse_threshold=1e-9)
         out = run_stopping(topic, cfg)
         rejected = [t for t in out.traces if t.gate is Gate.NRMSE_REJECTED]
-        assert rejected and all(t.curve is not None for t in rejected)
-        assert all(t.estimate is None for t in rejected)
+        assert rejected and all(t.estimate is None for t in rejected)
+        for t in rejected:  # the floor rejected these unfitted
+            assert t.curve is None
+            assert stopping.fit_at(topic, cfg, t.k).nrmse > cfg.nrmse_threshold
         assert out.hit_end
 
     def test_estimate_present_iff_evaluated(self):
@@ -350,11 +354,20 @@ class TestFitMemo:
         assert all(isinstance(fit, TarStopError) for fit in topic._fits.values())
 
     def test_second_run_fits_nothing(self, monkeypatch):
+        # at this gate the floor rejects two checkpoints, the fit two more,
+        # and the last is evaluated
         topic = exp_topic(seed=31, n=800, a=0.4, b=-0.008)
-        cfg = StoppingConfig(rate_kind=RateKind.EXPONENTIAL, alpha=0.1, beta=0.1)
+        cfg = StoppingConfig(
+            rate_kind=RateKind.EXPONENTIAL, alpha=0.1, beta=0.1, nrmse_threshold=0.2
+        )
         first = run_stopping(topic, cfg)
-        for trace in first.traces:
-            trace.gate  # runs the fits that the NRMSE floor deferred
+        assert [(t.gate, t.curve is None) for t in first.traces] == [
+            (Gate.NRMSE_REJECTED, True), (Gate.NRMSE_REJECTED, True),
+            (Gate.NRMSE_REJECTED, False), (Gate.NRMSE_REJECTED, False),
+            (Gate.EVALUATED, False),
+        ]
+        ks = checkpoints(topic.n, cfg)
+        curves = [stopping.fit_at(topic, cfg, k) for k in ks]  # past the stop, for cox
         calls = []
 
         def counting_fit(*args):
@@ -363,31 +376,45 @@ class TestFitMemo:
 
         monkeypatch.setattr(stopping, "fit_rate", counting_fit)
         cox = StoppingConfig(
-            rate_kind=RateKind.EXPONENTIAL, alpha=0.1, beta=0.1, process=ProcessKind.COX
+            rate_kind=RateKind.EXPONENTIAL, alpha=0.1, beta=0.1, nrmse_threshold=0.2,
+            process=ProcessKind.COX,
         )
         assert run_stopping(topic, cfg) == first
         run_stopping(topic, cox)
+        assert all(stopping.fit_at(topic, cox, k) is curve for k, curve in zip(ks, curves))
         assert calls == []
-        for trace in run_stopping(RankedTopic(topic.topic_id, topic.labels), cfg).traces:
-            trace.gate
+        run_stopping(RankedTopic(topic.topic_id, topic.labels), cfg)
         assert calls  # a new topic fits afresh
 
     # 0.3 is the memo tests' gate, which no checkpoint's floor reaches; at
     # the default 0.1 the floor rejects most of the declining topic's
     @pytest.mark.parametrize("threshold", [0.1, 0.3])
     def test_nrmse_floor_changes_no_outcome(self, monkeypatch, threshold):
+        # A run with the floor makes the decisions and estimates of one
+        # without it; where the floor spares a fit, that fit misses the
+        # gate or fails.
         topics, configs = _memo_cases(threshold)
-        deferred = 0
+        unfitted = 0
         for topic in topics:
             floor_free = RankedTopic(topic.topic_id, topic.labels)
             for cfg in configs:
                 outcome = run_stopping(topic, cfg)
-                deferred += sum(trace._deferred is not None for trace in outcome.traces)
                 with monkeypatch.context() as patch:
                     patch.setattr(stopping, "_nrmse_floor", lambda topic, window, k: 0.0)
                     expected = run_stopping(floor_free, cfg)
-                assert outcome == expected  # comparing reads the deferred traces
-        assert (deferred > 0) == (threshold == 0.1)
+                assert replace(outcome, traces=()) == replace(expected, traces=())
+                assert len(outcome.traces) == len(expected.traces)
+                for trace, eager in zip(outcome.traces, expected.traces):
+                    if trace.gate is Gate.NRMSE_REJECTED and trace.curve is None:
+                        unfitted += 1
+                        assert (trace.k, trace.rel_found) == (eager.k, eager.rel_found)
+                        assert eager.gate is Gate.FIT_FAILED or (
+                            eager.gate is Gate.NRMSE_REJECTED
+                            and eager.curve.nrmse > cfg.nrmse_threshold
+                        )
+                    else:
+                        assert trace == eager
+        assert (unfitted > 0) == (threshold == 0.1)
 
 
 def _declining_labels(seed: int, n: int, scale: float, decay: float) -> list[bool]:
@@ -422,7 +449,7 @@ class TestNrmseFloor:
                 continue
             assert curve.nrmse >= floor
 
-    def test_repeated_spike_fits_nothing_until_read(self, monkeypatch):
+    def test_repeated_spike_fits_nothing(self, monkeypatch):
         # The windows of TestLevenbergMarquardt's single spike (1, then 38
         # zeros), whose exponential fit spends its whole budget, three
         # times over. The spike alone declines, so its floor is zero and
@@ -446,14 +473,39 @@ class TestNrmseFloor:
         monkeypatch.setattr(stopping, "fit_rate", counting_fit)
         outcome = run_stopping(topic, cfg)
         assert outcome.hit_end and calls == []
-        rejected = outcome.traces[0]
-        assert rejected.gate is Gate.NRMSE_REJECTED and rejected.curve.nrmse > 0.1
+        assert [(t.gate, t.curve) for t in outcome.traces] == [(Gate.NRMSE_REJECTED, None)] * 3
+        assert stopping.fit_at(topic, cfg, outcome.traces[0].k).nrmse > 0.1
         assert len(calls) == 1
 
         def failing_fit(*args):
             raise FitFailureError("did not converge")
 
         monkeypatch.setattr(stopping, "fit_rate", failing_fit)
-        failed = outcome.traces[1]
-        assert (failed.gate, failed.curve) == (Gate.FIT_FAILED, None)
-        assert pickle.loads(pickle.dumps(outcome)) == outcome
+        assert isinstance(stopping.fit_at(topic, cfg, outcome.traces[1].k), FitFailureError)
+        assert outcome.traces[1].gate is Gate.NRMSE_REJECTED
+
+
+class TestTraceRecord:
+    def test_reading_a_trace_fits_nothing(self, monkeypatch):
+        # the floor rejects five of this topic's checkpoints unfitted
+        topic = exp_topic(seed=2, n=2000, a=0.5, b=-0.005)
+        outcomes = [
+            run_stopping(topic, StoppingConfig(rate_kind=RateKind.EXPONENTIAL, process=process))
+            for process in ProcessKind
+        ]
+
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(stopping, "fit_rate", no_fit)
+        traces = [trace for outcome in outcomes for trace in outcome.traces]
+        unfitted = [t for t in traces if t.gate is Gate.NRMSE_REJECTED and t.curve is None]
+        assert len(unfitted) == 2 * 5
+        assert outcomes[0] != outcomes[1]  # by their estimates
+        assert all(outcome == copy.deepcopy(outcome) for outcome in outcomes)
+        for trace in traces:
+            assert trace == copy.copy(trace) and hash(trace) == hash(copy.copy(trace))
+            assert repr(trace).startswith(f"IterationTrace(k={trace.k}, ")
+            assert pickle.loads(pickle.dumps(trace)) == trace
+        with pytest.raises(FrozenInstanceError):
+            unfitted[0].curve = None

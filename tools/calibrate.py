@@ -71,7 +71,7 @@ def _row(process: str, family: str, bucket: str, runs) -> dict:
     errors = []
     for topic, outcome in runs:
         for trace in outcome.traces:
-            if trace.estimate is not None:  # evaluated, read without settling the gate
+            if trace.gate is ts.Gate.EVALUATED:
                 evaluated += 1
                 remaining = topic.total_relevant - trace.rel_found
                 covered += trace.estimate.upper_bound >= remaining

@@ -8,8 +8,9 @@ For each seed, the script writes the benchmark's input variants
 is) and runs the program of this checkout (``src/``) on every variant:
 
   run + qrels variants (``stop_deep``, ``sweep_grid``):
-    stop --trace, as json and as csv; compare with every method; sweep
-    over both processes and every rate;
+    stop --trace, as json and as csv; stop --trace as json with each
+    other rate family and with the cox process; compare with every
+    method; sweep over both processes and every rate;
   spec variants (``simulate_cox``):
     simulate with ip and cox, once per rate family.
 
@@ -59,9 +60,12 @@ def _commands(workload: str, variant: Path) -> dict[str, list[str]]:
         spec = ["simulate", "--spec", str(variant / "spec.json"), "--methods", "ip,cox"]
         return {f"simulate-{rate}": [*spec, "--rate", rate] for rate in RATES}
     inputs = ["--run", str(variant / "run.txt"), "--qrels", str(variant / "qrels.txt")]
+    trace = ["stop", *inputs, "--trace", "--format", "json"]
     return {
-        "stop-json": ["stop", *inputs, "--trace", "--format", "json"],
+        "stop-json": trace,
         "stop-csv": ["stop", *inputs, "--trace", "--format", "csv"],
+        **{f"stop-json-{rate}": [*trace, "--rate", rate] for rate in RATES if rate != "hyp"},
+        "stop-json-cox": [*trace, "--process", "cox"],
         "compare": ["compare", *inputs, "--methods", METHODS],
         "sweep": ["sweep", *inputs, "--processes", "ip,cox"],
     }
