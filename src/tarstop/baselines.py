@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import RankedTopic
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .stopping import BatchSchedule, StoppingConfig, StoppingOutcome, checkpoints
 
 
@@ -20,8 +20,13 @@ class TargetConfig:
     seed: int
 
     def __post_init__(self):
+        for key in ("target_size", "seed"):
+            if not is_integer(value := getattr(self, key)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.target_size < 1:
             raise ConfigError(f"target_size must be >= 1, got {self.target_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,7 @@ def _run_method(
     method: str,
     topic: corpus.RankedTopic,
     args: argparse.Namespace,
+    knee: baselines.KneeConfig,
 ) -> stopping.StoppingOutcome:
     if method in ("ip", "cox"):
         return stopping.run_stopping(topic, _policy_config(args, method))
@@ -392,13 +393,7 @@ def _run_method(
         tc = baselines.TargetConfig(target_size=size, seed=seed)
         return baselines.target_stop(topic, tc, method=method)
     if method == "knee":
-        kc = baselines.KneeConfig(
-            rho_threshold=args.rho,
-            alpha=args.alpha,
-            beta=args.beta,
-            batch_schedule=BATCH_NAMES[args.batch],
-        )
-        return baselines.knee_stop(topic, kc)
+        return baselines.knee_stop(topic, knee)
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -421,9 +416,17 @@ def _compare_over_topics(
     args: argparse.Namespace,
 ) -> tuple[list[dict], list[dict]]:
     """Per-topic metric rows and aggregate rows, sorted."""
-    _policy_config(args, "ip")  # every config flag is checked, whichever method reads it
+    # every config flag is checked, whichever method reads it
+    _policy_config(args, "ip")
+    baselines.TargetConfig(target_size=args.target_size, seed=0)  # seeds are per topic
+    knee = baselines.KneeConfig(
+        rho_threshold=args.rho,
+        alpha=args.alpha,
+        beta=args.beta,
+        batch_schedule=BATCH_NAMES[args.batch],
+    )
     return _metric_rows([
-        metrics.topic_metrics(_run_method(method, topic, args), topic, args.target_recall)
+        metrics.topic_metrics(_run_method(method, topic, args, knee), topic, args.target_recall)
         for topic in topics
         for method in methods
     ])
@@ -667,39 +670,14 @@ def _load_specs(path: Path) -> list[corpus.SyntheticSpec]:
         for key in ("n", "kind", "params", "seed"):
             if key not in entry:
                 raise ValidationError(f"{where} is missing field {key!r}")
-        if not isinstance(entry["params"], dict):
-            raise ValidationError(f"{where} field 'params' must be an object")
-        # bool subclasses int, so true/false would pass as a number
-        for key in ("n", "seed"):
-            value = entry[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(
-                    f"{where} field {key!r} must be an integer, got {value!r}"
-                )
-        topic_id = entry.get("topic_id", f"S{idx + 1:03d}")
-        if not isinstance(topic_id, str):
-            raise ValidationError(
-                f"{where} field 'topic_id' must be a string, got {topic_id!r}"
-            )
-        params = {k: _spec_number(v, where, f"params.{k}") for k, v in entry["params"].items()}
-        noise = _spec_number(entry.get("noise", 0.0), where, "noise")
         try:
             specs.append(corpus.SyntheticSpec(
-                n=entry["n"], kind=entry["kind"], params=params, seed=entry["seed"],
-                noise=noise, topic_id=topic_id,
+                n=entry["n"], kind=entry["kind"], params=entry["params"], seed=entry["seed"],
+                noise=entry.get("noise", 0.0), topic_id=entry.get("topic_id", f"S{idx + 1:03d}"),
             ))
-        except ValidationError as exc:  # a field's range, or the rate family's constraints
+        except ValidationError as exc:  # a field's type or range, or the family's constraints
             raise ValidationError(f"{where}: {exc}") from None
     return specs
-
-
-def _spec_number(value, where: str, key: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{where} field {key!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{where} field {key!r} is out of range") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -10,6 +10,8 @@ per line, blank and ``#``-prefixed comment lines skipped):
 
 Both parsers take the whole text or any iterable of its lines (for
 example a file read lazily), so a caller need not hold the text at all.
+One record reader, ``_Records``, owns the line structure and the
+duplicate check; the parsers keep their field conversions and output.
 Labelling reads only which documents are relevant, so parsed qrels map
 each topic to the frozenset of its relevant doc ids; judged non-relevant
 ids are checked for duplicates and then dropped. The run is parsed after
@@ -22,7 +24,8 @@ character where a set of them takes about 100 bytes an id, and checks
 each topic once, when the parse ends: with a set under ``_BATCH`` ids,
 else by sorting their 64-bit hashes. Documents present in a run but
 absent from the qrels, or judged non-relevant, are labelled non-relevant,
-the standard pooling assumption.
+the standard pooling assumption. A ``SyntheticSpec`` checks its fields'
+types as well as their ranges.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from collections.abc import Iterable, Mapping
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from numbers import Real
 from operator import le
 
 import numpy as np
 
-from .errors import DuplicateEntryError, ParseError, ValidationError
+from .errors import DuplicateEntryError, ParseError, ValidationError, is_integer
 from .rates import RateKind, RateParams, rate_value
 
 SYNTHETIC_KINDS = (*(kind.value for kind in RateKind), "uniform")
@@ -94,7 +98,8 @@ class SyntheticSpec:
     other kinds are the ``rates.RateKind`` families, whose parameters and
     constraints come from their records in the family table.
     ``noise`` flips each label independently with the given probability.
-    ``n`` must lie in [1, MAX_SYNTHETIC_N].
+    ``n`` must lie in [1, MAX_SYNTHETIC_N]. Types are checked first: ``n``
+    and ``seed`` are integers, the params and ``noise`` numbers, kept as floats.
     """
 
     n: int
@@ -107,6 +112,17 @@ class SyntheticSpec:
     _rate: RateParams | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.params, Mapping):
+            raise ValidationError("field 'params' must be an object")
+        for key in ("n", "seed"):
+            if not is_integer(value := getattr(self, key)):
+                raise ValidationError(f"field {key!r} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
+        if not isinstance(self.topic_id, str):
+            raise ValidationError(f"field 'topic_id' must be a string, got {self.topic_id!r}")
+        params = {key: _real(value, f"params.{key}") for key, value in self.params.items()}
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "noise", _real(self.noise, "noise"))
         if not 1 <= self.n <= MAX_SYNTHETIC_N:
             raise ValidationError(
                 f"synthetic n must be in [1, {MAX_SYNTHETIC_N}], got {self.n}"
@@ -119,26 +135,32 @@ class SyntheticSpec:
             raise ValidationError(f"synthetic seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise < 0.5:
             raise ValidationError(f"noise must be in [0, 0.5), got {self.noise}")
-        a = self.params.get("a")
+        a = params.get("a")
         if a is None or not a >= 0:
             raise ValidationError(f"synthetic params require a >= 0, got {a}")
         if self.kind != "uniform":
             kind = RateKind(self.kind)
-            values = [self.params.get(key) for key in kind.family.params]
+            values = [params.get(key) for key in kind.family.params]
             object.__setattr__(self, "_rate", RateParams.from_values(kind, values, self.n))
 
 
-def _lines(source: str | Iterable[str]) -> Iterable[str]:
-    return source.splitlines() if isinstance(source, str) else source
+def _real(value, key: str) -> float:
+    """A spec field's real number (numpy's too, but no bool) as a float."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ValidationError(f"field {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"field {key!r} is out of range") from None
 
 
 # Ids a topic holds in a list before it joins them into one string (see
-# ``_TopicIds``); a topic of fewer is checked with a set.
+# ``_Records``); a topic of fewer is checked with a set.
 _BATCH = 4096
 
 
 class _Ids:
-    """One topic's doc ids in file order, as ``_TopicIds`` keeps them."""
+    """One topic's doc ids in file order, as ``_Records`` keeps them."""
 
     __slots__ = ("pending", "strings", "positions", "lines")
 
@@ -184,32 +206,38 @@ class _Ids:
         return None  # only hashes collided
 
 
-class _TopicIds:
-    """The duplicate check of both parsers: each topic's doc ids, checked
-    for a repeat once, when the parse ends.
+class _Records:
+    """The records of a run or qrels file, for both parsers, and the
+    duplicate check of their doc ids.
 
-    The parser appends each id to the list that ``start`` returns for a
-    block of a topic's consecutive lines, and calls ``join`` once the list
-    holds ``size`` ids, which keeps them as one space-joined string (an id
-    holds no whitespace): about a byte a character, where a set takes
-    about 100 bytes an id. A blank or comment line ends a block, so each
-    id's line follows from the first line of its block.
+    Iterating yields each record's fields, skipping blank and comment
+    lines and checking the count of ``names``, the format's field names;
+    ``line`` is the record's line. A record's doc id (field 2) is kept once
+    the parser asks for the next record, so the parser's error on a line
+    wins over that line's repeat. A topic's ids are kept in blocks of
+    consecutive lines, which start on each change of topic and after each
+    skipped line, so each id's line follows from its block's first line.
+    Every ``_BATCH`` ids of a topic are joined into one space-joined string
+    (an id holds no whitespace): about a byte a character, where a set
+    takes about 100 bytes an id.
 
     Used as a context manager, it checks every topic when the parse ends,
     and before any parse error on a line leaves it, and raises the
     duplicate on the smallest line. Each id comes before the error's line,
     so the first duplicate wins over any later error. A topic of fewer
-    than ``size`` ids is checked with a set. A larger one is hashed once
+    than ``_BATCH`` ids is checked with a set. A larger one is hashed once
     into an int64 array, sorted in place, and only the ids whose hashes
     are equal go to an exact check, so a collision of two different ids
     is no error.
     """
 
-    def __init__(self, message):
+    def __init__(self, source: str | Iterable[str], names: str, message):
+        self._lines = source.splitlines() if isinstance(source, str) else source
+        self._names = names
         self._message = message  # (topic, doc_id) -> the duplicate error's text
         self._topics: dict[str, _Ids] = {}
-        self._current: _Ids | None = None
-        self.size = _BATCH
+        self._size = _BATCH
+        self.line = 0
 
     def __enter__(self):
         return self
@@ -219,27 +247,37 @@ class _TopicIds:
         if exc is not None and not (isinstance(exc, ParseError) and exc.line is not None):
             return
         repeats = [(*repeat, topic) for topic, ids in self._topics.items()
-                   if (repeat := ids.first_repeat(self.size))]
+                   if (repeat := ids.first_repeat(self._size))]
         if repeats:
             line, doc_id, topic = min(repeats)
             raise DuplicateEntryError(self._message(topic, doc_id), line) from None
 
-    def start(self, topic: str, line: int) -> list[str]:
-        """Start a block of ``topic``'s lines at ``line``; return the list
-        its ids go to."""
-        ids = self._topics.get(topic)
-        if ids is None:
-            ids = self._topics[topic] = _Ids()
-        ids.positions.append(len(ids.strings) * self.size + len(ids.pending))
-        ids.lines.append(line)
-        self._current = ids
-        return ids.pending
-
-    def join(self) -> None:
-        """Keep the current topic's pending ids as one string."""
-        pending = self._current.pending
-        self._current.strings.append(" ".join(pending))
-        pending.clear()
+    def __iter__(self):
+        count = len(self._names.split())
+        topics, size = self._topics, self._size
+        current = None  # the topic of the current block; None after a skipped line
+        for self.line, raw in enumerate(self._lines, start=1):
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":  # split() yields no empty field
+                current = None
+                continue
+            if len(parts) != count:
+                raise ParseError(
+                    f"expected {count} fields '{self._names}', got {len(parts)}", self.line
+                )
+            if parts[0] != current:
+                current = parts[0]
+                ids = topics.get(current)
+                if ids is None:
+                    ids = topics[current] = _Ids()
+                pending = ids.pending
+                ids.positions.append(len(ids.strings) * size + len(pending))
+                ids.lines.append(self.line)
+            yield parts
+            pending.append(parts[2])
+            if len(pending) == size:
+                ids.strings.append(" ".join(pending))
+                pending.clear()
 
 
 def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
@@ -254,29 +292,19 @@ def parse_qrels(source: str | Iterable[str]) -> dict[str, frozenset[str]]:
     """
     relevant: dict[str, list[str]] = {}
     current = None
-    with _TopicIds(lambda topic, doc_id: f"duplicate qrels entry for {(topic, doc_id)}") as ids:
-        size = ids.size
-        for lineno, raw in enumerate(_lines(source), start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                current = None  # ends the block
-                continue
-            if len(parts) != 4:
-                raise ParseError(
-                    f"expected 4 fields 'topic iter docid rel', got {len(parts)}", lineno
-                )
-            topic, _iter, doc_id, rel_str = parts
+    records = _Records(source, "topic iter docid rel",
+                       lambda topic, doc_id: f"duplicate qrels entry for {(topic, doc_id)}")
+    with records:
+        for topic, _iter, doc_id, rel_str in records:
             try:
                 rel = int(rel_str)
             except ValueError:
-                raise ParseError(f"relevance {rel_str!r} is not an integer", lineno) from None
+                raise ParseError(
+                    f"relevance {rel_str!r} is not an integer", records.line
+                ) from None
             if topic != current:  # qrels list a topic's lines together
                 current = topic
-                pending = ids.start(topic, lineno)
                 found = relevant.setdefault(topic, [])
-            pending.append(doc_id)
-            if len(pending) == size:
-                ids.join()
             if rel > 0:
                 found.append(doc_id)
     return {topic: frozenset(found) for topic, found in relevant.items()}
@@ -313,35 +341,22 @@ def parse_run(
     # unless a topic has one beyond that range.
     by_topic: dict[str, tuple] = {}
     current = None
-    with _TopicIds(lambda topic, doc_id: f"doc {doc_id!r} listed twice for topic {topic!r}") as ids:
-        size = ids.size
-        for lineno, raw in enumerate(_lines(source), start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                current = None  # ends the block
-                continue
-            if len(parts) != 6:
-                raise ParseError(
-                    f"expected 6 fields 'topic Q0 docid rank score tag', got {len(parts)}",
-                    lineno,
-                )
-            topic, _q0, doc_id, rank_str, score_str, _tag = parts
+    records = _Records(source, "topic Q0 docid rank score tag",
+                       lambda topic, doc_id: f"doc {doc_id!r} listed twice for topic {topic!r}")
+    with records:
+        for topic, _q0, doc_id, rank_str, score_str, _tag in records:
             try:
                 rank = int(rank_str)
             except ValueError:
-                raise ParseError(f"rank {rank_str!r} is not an integer", lineno) from None
+                raise ParseError(f"rank {rank_str!r} is not an integer", records.line) from None
             try:
                 float(score_str)
             except ValueError:
-                raise ParseError(f"score {score_str!r} is not numeric", lineno) from None
+                raise ParseError(f"score {score_str!r} is not numeric", records.line) from None
             if topic != current:  # runs list a topic's lines together
                 current = topic
-                pending = ids.start(topic, lineno)
                 labels, ranks = by_topic.setdefault(topic, (bytearray(), None))
                 relevant = qrels.get(topic, ())
-            pending.append(doc_id)
-            if len(pending) == size:
-                ids.join()
             labels.append(doc_id in relevant)
             if ranks is None:
                 if rank == len(labels):  # still implicit

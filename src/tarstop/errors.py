@@ -1,10 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer rule of
+the records that raise them.
 
 The CLI maps these onto exit codes: configuration problems exit 2, input
 parse problems exit 3, numeric failures exit 4.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's; a bool is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class TarStopError(Exception):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import RankedTopic
-from .errors import ConfigError, TarStopError
+from .errors import ConfigError, TarStopError, is_integer
 from .estimates import (
     MAX_COX_GRID,
     ProcessKind,
@@ -109,12 +109,15 @@ class StoppingConfig:
             raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
         if not self.nrmse_threshold > 0:
             raise ConfigError(f"nrmse_threshold must be > 0, got {self.nrmse_threshold}")
+        if not is_integer(self.window_size):
+            raise ConfigError(f"window_size must be an integer, got {self.window_size!r}")
         if self.window_size < 1:
             raise ConfigError(f"window_size must be >= 1, got {self.window_size}")
-        if not (3 <= self.cox_grid <= MAX_COX_GRID and self.cox_grid % 2 == 1):
+        grid = self.cox_grid
+        if not (is_integer(grid) and 3 <= grid <= MAX_COX_GRID and grid % 2 == 1):
             raise ConfigError(
                 f"cox_grid must be an odd integer in [3, {MAX_COX_GRID}], "
-                f"got {self.cox_grid}"
+                f"got {grid}"
             )
 
 

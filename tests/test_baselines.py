@@ -155,6 +155,24 @@ class TestTargetStop:
         with pytest.raises(ConfigError):
             TargetConfig(target_size=0, seed=1)
 
+    @pytest.mark.parametrize("fields, message", [
+        # each raised outside the package's errors: IndexError, numpy's
+        # ValueError, TypeError
+        ({"target_size": 2.5, "seed": 1}, "target_size must be an integer, got 2.5"),
+        ({"target_size": 10, "seed": -1}, "seed must be >= 0, got -1"),
+        ({"target_size": 10, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"target_size": True, "seed": 1}, "target_size must be an integer, got True"),
+    ])
+    def test_integer_fields(self, fields, message):
+        with pytest.raises(ConfigError) as err:
+            TargetConfig(**fields)
+        assert str(err.value) == message
+
+    def test_numpy_integers_accepted(self):
+        topic = topic_from_labels(np.ones(20, dtype=bool))
+        cfg = TargetConfig(target_size=np.int64(3), seed=np.uint32(5))
+        assert target_stop(topic, cfg) == target_stop(topic, TargetConfig(3, 5))
+
 
 class TestKneeStop:
     def test_sharp_knee_ratio(self):

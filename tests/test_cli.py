@@ -902,22 +902,25 @@ class TestFlagSurface:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: tarstop {command} ")
 
-    @pytest.mark.parametrize("command, methods, flag, value", [
+    @pytest.mark.parametrize("command, methods, flag, value, field", [
         # each was a traceback: a baseline read the value unchecked
-        ("compare", "target-adapted", "--confidence", "1.5"),
-        ("compare", "knee", "--target-recall", "0"),
-        ("simulate", "target", "--target-recall", "0"),
+        ("compare", "target-adapted", "--confidence", "1.5", "confidence"),
+        ("compare", "knee", "--target-recall", "0", "target_recall"),
+        ("simulate", "target", "--target-recall", "0", "target_recall"),
         # read by no method run, but still a faulty config
-        ("compare", "oracle", "--nrmse-threshold", "-1"),
+        ("compare", "oracle", "--nrmse-threshold", "-1", "nrmse_threshold"),
+        ("compare", "ip", "--target-size", "0", "target_size"),
+        ("compare", "ip", "--rho", "-1", "rho_threshold"),
+        ("simulate", "ip", "--rho", "0", "rho_threshold"),
     ])
     def test_config_checked_whichever_method_runs(
-        self, command, methods, flag, value, fixture_files, spec_file, capsys
+        self, command, methods, flag, value, field, fixture_files, spec_file, capsys
     ):
         run, qrels = fixture_files
         inputs = (["--spec", str(spec_file)] if command == "simulate"
                   else ["--run", str(run), "--qrels", str(qrels)])
         assert main([command, *inputs, "--methods", methods, flag, value]) == 2
-        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert f"{field} must be" in capsys.readouterr().err
 
 
 class TestOutputFile:

@@ -253,6 +253,23 @@ class TestDuplicateCheck:
             lines += [_record(which, "T2", "b1", 3), _record(which, "T1", "a5", 6)]
             assert _duplicate_line(which, lines) == 7
 
+    @pytest.mark.parametrize("batch", [2, corpus._BATCH])
+    @pytest.mark.parametrize("which, faulty, message", [
+        ("run", "T Q0 d1 x 1 t", "rank 'x' is not an integer"),
+        ("run", "T Q0 d1 5 high t", "score 'high' is not numeric"),
+        ("qrels", "T 0 d1 x", "relevance 'x' is not an integer"),
+    ])
+    def test_a_faulty_line_reports_its_fault_before_its_own_repeat(
+        self, monkeypatch, batch, which, faulty, message
+    ):
+        # the line's id is kept only once its fields are read
+        monkeypatch.setattr(corpus, "_BATCH", batch)
+        lines = [_record(which, "T", f"d{r}", r) for r in range(1, 5)] + [faulty]
+        with pytest.raises(ParseError) as raised:
+            _parse(which, lines)
+        assert type(raised.value) is ParseError
+        assert str(raised.value) == f"line 5: {message}"
+
     def test_topics_under_one_batch_are_never_hashed(self, monkeypatch):
         def no_hash(doc_id):
             raise AssertionError(f"{doc_id!r} hashed")
@@ -437,6 +454,35 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError) as err:
             SyntheticSpec(n=n, kind=kind, params=params, seed=1)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        # each built, then failed in numpy, or was accepted
+        ({"n": 3000.0}, "field 'n' must be an integer, got 3000.0"),
+        ({"seed": True}, "field 'seed' must be an integer, got True"),
+        ({"topic_id": 5}, "field 'topic_id' must be a string, got 5"),
+        ({"params": {"a": "x"}}, "field 'params.a' must be a number, got 'x'"),
+        ({"params": {"a": 10 ** 400}}, "field 'params.a' is out of range"),
+        ({"params": [0.1]}, "field 'params' must be an object"),
+        ({"noise": None}, "field 'noise' must be a number, got None"),
+        # types are checked before ranges, in field order
+        ({"n": 0, "seed": 1.0}, "field 'seed' must be an integer, got 1.0"),
+        ({"n": 1.0, "params": 0.1}, "field 'params' must be an object"),
+    ])
+    def test_field_types_checked_at_construction(self, fields, message):
+        with pytest.raises(ValidationError) as err:
+            SyntheticSpec(**{"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": 1,
+                             **fields})
+        assert str(err.value) == message
+
+    def test_numbers_of_any_type_are_stored_as_python_numbers(self):
+        spec = SyntheticSpec(n=np.int64(300), kind="exponential", seed=np.uint8(4),
+                             params={"a": 1, "b": np.float32(-0.01)}, noise=np.float64(0.1))
+        assert [type(v) for v in (spec.n, spec.seed, spec.params["a"], spec.noise)] == [
+            int, int, float, float]
+        plain = SyntheticSpec(n=300, kind="exponential", seed=4, noise=0.1,
+                              params={"a": 1.0, "b": float(np.float32(-0.01))})
+        assert spec == plain
+        assert np.array_equal(generate_synthetic(spec).labels, generate_synthetic(plain).labels)
 
     def test_invalid_noise(self):
         with pytest.raises(ValidationError):

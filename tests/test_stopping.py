@@ -69,6 +69,17 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             StoppingConfig(cox_grid=grid)
 
+    @pytest.mark.parametrize("fields, message", [
+        # window 25.0 raised a TypeError at the first fit
+        ({"window_size": 25.0}, "window_size must be an integer, got 25.0"),
+        ({"window_size": True}, "window_size must be an integer, got True"),
+        ({"cox_grid": 9.0}, "cox_grid must be an odd integer in [3, 161], got 9.0"),
+    ])
+    def test_integer_fields(self, fields, message):
+        with pytest.raises(ConfigError) as err:
+            StoppingConfig(**fields)
+        assert str(err.value) == message
+
     def test_cox_grid_range_ends_accepted(self):
         assert StoppingConfig(cox_grid=3).cox_grid == 3
         assert StoppingConfig(cox_grid=161).cox_grid == 161

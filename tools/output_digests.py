@@ -18,16 +18,23 @@ It prints one sha256 per command, over every file the command wrote, with
 a label naming the seed, the variant and the command. Run it at two
 commits and compare the lines. Nothing it writes outlives the run.
 
-It also covers the parse errors. On faulty copies of each run + qrels
-variant it runs ``stop`` and hashes the exit code and the error message,
-with the copy's directory taken out of the message. The copies hold:
+It also covers the input and flag errors. On faulty copies of each
+variant, and with faulty flags, it runs a command and hashes the exit
+code and the error message, with the copy's directory taken out of the
+message. On each run + qrels variant, ``stop`` runs on copies that hold:
 
   run-far-repeat:     the doc id of a topic's first line repeated seven
                       eighths into the run, and a malformed line 10
                       lines later;
   run-after-comment:  a comment line inside a topic, then a doc id of 5
                       lines before;
-  qrels-zero-repeat:  the first judged-0 qrels line repeated at the end.
+  qrels-zero-repeat:  the first judged-0 qrels line repeated at the end;
+
+and ``compare --methods ip`` runs with ``--target-size 0`` and with
+``--rho -1``, which no method run reads. On each spec variant,
+``simulate`` runs on copies whose last spec has ``n`` as ``3000.0``,
+``seed`` as ``true``, param ``a`` as a string, param ``a`` as a 401-digit
+integer, ``topic_id`` as ``7``, or no ``params``.
 
 The commands run under the caller's ``PYTHONHASHSEED``, or 0 if it is
 unset. No output may depend on it, so two hash seeds must print the
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -122,12 +130,59 @@ def _faulty_copies(variant: Path, work: Path) -> dict[str, Path]:
     return copies
 
 
-def _error_digest(copy: Path) -> str:
-    """Run stop on a faulty copy; hash its exit code and its stderr."""
-    done = _run(["stop", "--run", str(copy / "run.txt"), "--qrels", str(copy / "qrels.txt"),
-                 "--output", str(copy / "out.json")], stderr=subprocess.PIPE, text=True)
+def _faulty_specs(variant: Path, work: Path) -> dict[str, Path]:
+    """Copies of a spec variant whose last spec has one faulty field, by label."""
+    payload = json.loads((variant / "spec.json").read_text())
+    faults = {
+        "n-float": ("n", 3000.0),
+        "seed-bool": ("seed", True),
+        "param-string": ("params", {"a": "0.5"}),
+        "param-huge": ("params", {"a": 10 ** 400}),
+        "topic-id-int": ("topic_id", 7),
+        "params-missing": ("params", None),
+    }
+    copies = {}
+    for label, (key, value) in faults.items():
+        last = dict(payload["topics"][-1], **{key: value})
+        if value is None:
+            del last[key]
+        copy = copies[label] = work / label
+        copy.mkdir()
+        (copy / "spec.json").write_text(
+            json.dumps({"topics": [*payload["topics"][:-1], last]}, indent=1))
+    return copies
+
+
+def _error_digest(args: list[str], copy: Path) -> str:
+    """Run a command on a faulty copy, writing into it; hash its exit code
+    and its stderr."""
+    done = _run([*args, "--output", str(copy / "out.json")], stderr=subprocess.PIPE, text=True)
     stderr = done.stderr.replace(str(copy), "<copy>")
     return hashlib.sha256(f"{done.returncode}\n{stderr}".encode()).hexdigest()
+
+
+def _error_commands(workload: str, variant: Path, work: Path) -> dict[str, tuple]:
+    """The commands run on faulty copies of one input variant, by label:
+    each command's arguments and the directory of its copy."""
+    if workload == "simulate_cox":
+        return {
+            f"simulate-{label}": (["simulate", "--spec", str(copy / "spec.json"),
+                                   "--methods", "ip"], copy)
+            for label, copy in _faulty_specs(variant, work).items()
+        }
+    commands = {
+        f"stop-{label}": (["stop", "--run", str(copy / "run.txt"),
+                           "--qrels", str(copy / "qrels.txt")], copy)
+        for label, copy in _faulty_copies(variant, work).items()
+    }
+    inputs = ["--run", str(variant / "run.txt"), "--qrels", str(variant / "qrels.txt")]
+    for label, flag, value in (("target-size-0", "--target-size", "0"),
+                               ("rho-negative", "--rho", "-1")):
+        copy = work / label
+        copy.mkdir()
+        commands[f"compare-{label}"] = (
+            ["compare", *inputs, "--methods", "ip", flag, value], copy)
+    return commands
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -149,13 +204,12 @@ def main(argv: list[str] | None = None) -> int:
                         out_dir = work / "out" / name.replace("/", "-")
                         out_dir.parent.mkdir(exist_ok=True)
                         print(f"{_digest(command, out_dir)}  {name}", flush=True)
-                    if workload == "simulate_cox":
-                        continue
                     faults = work / "faults" / f"{workload}-{seed}-{variant.name}"
                     faults.mkdir(parents=True)
-                    for label, copy in _faulty_copies(variant, faults).items():
-                        name = f"{workload}/seed{seed}/{variant.name}/stop-{label}"
-                        print(f"{_error_digest(copy)}  {name}", flush=True)
+                    for label, (command, copy) in _error_commands(
+                            workload, variant, faults).items():
+                        name = f"{workload}/seed{seed}/{variant.name}/{label}"
+                        print(f"{_error_digest(command, copy)}  {name}", flush=True)
     return 0
 
 
