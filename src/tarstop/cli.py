@@ -651,6 +651,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+_SPEC_FIELDS = ("n", "kind", "params", "seed", "noise", "topic_id")
+
+
 def _load_specs(path: Path) -> list[corpus.SyntheticSpec]:
     try:
         payload = json.loads(_read_input(path, "spec"))
@@ -667,6 +670,12 @@ def _load_specs(path: Path) -> list[corpus.SyntheticSpec]:
         where = f"{path}: spec {idx}"
         if not isinstance(entry, dict):
             raise ValidationError(f"{where} must be an object, got {entry!r}")
+        unknown = [key for key in entry if key not in _SPEC_FIELDS]
+        if unknown:
+            raise ValidationError(
+                f"{where}: unknown field {unknown[0]!r}; "
+                f"expected one of {', '.join(_SPEC_FIELDS)}"
+            )
         for key in ("n", "kind", "params", "seed"):
             if key not in entry:
                 raise ValidationError(f"{where} is missing field {key!r}")

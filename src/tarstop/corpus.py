@@ -97,6 +97,7 @@ class SyntheticSpec:
     ``ap_prior`` uses ``a`` with the normalizer taken over ``n``); the
     other kinds are the ``rates.RateKind`` families, whose parameters and
     constraints come from their records in the family table.
+    A param that ``kind`` does not read is refused.
     ``noise`` flips each label independently with the given probability.
     ``n`` must lie in [1, MAX_SYNTHETIC_N]. Types are checked first: ``n``
     and ``seed`` are integers, the params and ``noise`` numbers, kept as floats.
@@ -130,6 +131,13 @@ class SyntheticSpec:
         if self.kind not in SYNTHETIC_KINDS:
             raise ValidationError(
                 f"unknown synthetic kind {self.kind!r}; expected one of {SYNTHETIC_KINDS}"
+            )
+        reads = ("a",) if self.kind == "uniform" else tuple(RateKind(self.kind).family.params)
+        unread = [key for key in params if key not in reads]
+        if unread:
+            raise ValidationError(
+                f"field 'params.{unread[0]}' is not a parameter of kind {self.kind!r}, "
+                f"which reads {', '.join(reads)}"
             )
         if self.seed < 0:
             raise ValidationError(f"synthetic seed must be >= 0, got {self.seed}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, ValidationError
+from .errors import DegenerateDistributionError, ValidationError, is_integer
 from .rates import RateCurve, rate_integral
 from .special import log_factorials, log_gamma
 
@@ -194,7 +194,7 @@ def estimate_remaining_cox(
     exactly. A confidence outside (0, 1) or a bad interval raises
     ValueError before any grid work.
     """
-    if not (3 <= grid <= MAX_COX_GRID and grid % 2 == 1):
+    if not (is_integer(grid) and 3 <= grid <= MAX_COX_GRID and grid % 2 == 1):
         raise ValidationError(
             f"grid must be an odd integer in [3, {MAX_COX_GRID}], got {grid}"
         )

@@ -413,177 +413,70 @@ def _fit_problem(points: WindowedEstimates, kind: RateKind, n_total: int):
 
 # --- Levenberg-Marquardt ---------------------------------------------------
 #
-# A port of MINPACK's lmder (More, "The Levenberg-Marquardt algorithm:
-# implementation and theory", 1978) in its mode 1: variables scaled by the
-# running maximum of the Jacobian's column norms, initial step bound
-# factor * |D t0| with factor = 100, and ftol = xtol = gtol = 1e-8. Every
-# sum runs in MINPACK's order, left to right, so the fit does not depend on
-# the BLAS or on the Python version. With at most three parameters the
-# n-sized work is plain Python; only the m-sized work is numpy.
+# More's trust-region Levenberg-Marquardt method ("The Levenberg-Marquardt
+# algorithm: implementation and theory", LNM 630, 1978), with MINPACK
+# lmder's mode-1 settings: variables scaled by D, the running maximum of the
+# Jacobian's column norms; initial step bound factor * |D t0| with
+# factor = 100; ftol = xtol = gtol = 1e-8; and lmder's rules on the ratio of
+# actual to predicted reduction. With at most three parameters it works on
+# the normal equations: each iteration forms J^T J and J^T f once, and each
+# step solves (J^T J + par D^2) p = -J^T f. Against MINPACK itself, on the
+# tests' corpus of 480 fits, the cost is within a relative 1e-7 where the
+# NRMSE is at most 0.2 and within 1e-3 elsewhere, and the parameters agree
+# within 1e-4 where cond(J^T J) <= 1e8; beyond that, on a flat valley or a
+# ridge, the two may stop at different points of nearly equal cost.
+# Plain norms cannot overflow: ``_natural`` clips every coordinate to
+# |t| <= 50, so no rate, residual or Jacobian entry exceeds about 1e30.
 
 _LM_TOL = 1e-8
 _LM_FACTOR = 100.0
 _EPS = float(np.finfo(float).eps)
 _DWARF = float(np.finfo(float).tiny)
-_RDWARF = 3.834e-20  # enorm's bounds for squaring without under- or overflow
-_RGIANT = 1.304e19
 
 
-def _dot(u, v) -> float:
-    """Left-to-right sum of u[i] * v[i]."""
-    if isinstance(u, np.ndarray):
-        return float((u * v).cumsum()[-1])
-    s = 0.0
-    for a, b in zip(u, v):
-        s += a * b
-    return s
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(float(v @ v))
 
 
-def _enorm(v) -> float:
-    """MINPACK's Euclidean norm: a plain sum of squares for moderate
-    components, rescaled sums for tiny and huge ones."""
-    agiant = _RGIANT / len(v)
-    if isinstance(v, np.ndarray):
-        sq = v * v
-        # squaring rounds monotonically, so these bounds on the squares
-        # put every component strictly inside (_RDWARF, agiant)
-        if sq.min() > _RDWARF * _RDWARF and sq.max() < agiant * agiant:
-            return math.sqrt(sq.cumsum()[-1])
-        v = v.tolist()
-    s1 = s2 = s3 = x1max = x3max = 0.0
-    for xabs in map(abs, v):
-        if _RDWARF < xabs < agiant:
-            s2 += xabs * xabs
-        elif xabs > _RDWARF:
-            if xabs > x1max:
-                s1 = 1.0 + s1 * (x1max / xabs) * (x1max / xabs)
-                x1max = xabs
-            else:
-                s1 += (xabs / x1max) * (xabs / x1max)
-        elif xabs > x3max:
-            s3 = 1.0 + s3 * (x3max / xabs) * (x3max / xabs)
-            x3max = xabs
-        elif xabs != 0.0:
-            s3 += (xabs / x3max) * (xabs / x3max)
-    if s1 != 0.0:
-        return x1max * math.sqrt(s1 + (s2 / x1max) / x1max)
-    if s2 != 0.0:
-        if s2 >= x3max:
-            return math.sqrt(s2 * (1.0 + (x3max / s2) * (x3max * s3)))
-        return math.sqrt(x3max * ((s2 / x3max) + (x3max * s3)))
-    return x3max * math.sqrt(s3)
+def _solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve a x = b for a symmetric a with a positive diagonal, and say
+    whether a was exactly singular: then eps times its trace is added to its
+    diagonal. a is scaled to a unit diagonal first, so that a column of J
+    far shorter than the others keeps its digits."""
+    s = np.sqrt(np.diag(a))
+    a = a / np.outer(s, s)
+    try:
+        return np.linalg.solve(a, b / s) / s, False
+    except np.linalg.LinAlgError:
+        return np.linalg.solve(a + _EPS * np.trace(a) * np.eye(s.size), b / s) / s, True
 
 
-def _qrfac(a: np.ndarray) -> tuple[list[int], list[float], list[float]]:
-    """Householder QR with column pivoting of the (m, n) matrix a.T, in place
-    on a's rows. Returns the pivot order, R's diagonal and a's row norms."""
-    n = a.shape[0]
-    acnorm = [_enorm(row) for row in a]
-    rdiag = list(acnorm)
-    wa = list(acnorm)
-    ipvt = list(range(n))
-    for j in range(n):
-        kmax = j
-        for k in range(j, n):
-            if rdiag[k] > rdiag[kmax]:
-                kmax = k
-        if kmax != j:
-            a[[j, kmax]] = a[[kmax, j]]
-            rdiag[kmax], wa[kmax] = rdiag[j], wa[j]
-            ipvt[j], ipvt[kmax] = ipvt[kmax], ipvt[j]
-        ajnorm = _enorm(a[j, j:])
-        if ajnorm != 0.0:
-            if a[j, j] < 0.0:
-                ajnorm = -ajnorm
-            a[j, j:] /= ajnorm
-            a[j, j] += 1.0
-            for k in range(j + 1, n):
-                temp = _dot(a[j, j:], a[k, j:]) / a[j, j]
-                a[k, j:] -= temp * a[j, j:]
-                if rdiag[k] != 0.0:
-                    temp = a[k, j] / rdiag[k]
-                    rdiag[k] *= math.sqrt(max(0.0, 1.0 - temp * temp))
-                    if 0.05 * (rdiag[k] / wa[k]) * (rdiag[k] / wa[k]) <= _EPS:
-                        rdiag[k] = wa[k] = _enorm(a[k, j + 1:])
-        rdiag[j] = -ajnorm
-    return ipvt, rdiag, acnorm
+def _inverse_form(a: np.ndarray, v: np.ndarray) -> float:
+    """v^T a^-1 v in magnitude: where a is nearly singular the form is huge,
+    and rounding may give it either sign."""
+    return abs(float(v @ _solve(a, v)[0]))
 
 
-def _qrsolv(r: list[list[float]], ipvt: list[int], diag: list[float], qtb: list[float]):
-    """Least-squares solution of [R P^T; D] x = [Q^T b; 0] by Givens rotations.
-    Leaves the rotated triangle S transposed in r's strict lower part and
-    returns x with S's diagonal."""
-    n = len(diag)
-    x = [0.0] * n
-    wa = list(qtb)
-    for j in range(n):
-        for i in range(j, n):
-            r[i][j] = r[j][i]
-        x[j] = r[j][j]
-    sdiag = [0.0] * n
-    for j in range(n):
-        if diag[ipvt[j]] != 0.0:
-            sdiag[j:] = [0.0] * (n - j)
-            sdiag[j] = diag[ipvt[j]]
-            qtbpj = 0.0
-            for k in range(j, n):
-                if sdiag[k] == 0.0:
-                    continue
-                if abs(r[k][k]) < abs(sdiag[k]):
-                    cotan = r[k][k] / sdiag[k]
-                    sin = 0.5 / math.sqrt(0.25 + 0.25 * cotan * cotan)
-                    cos = sin * cotan
-                else:
-                    tan = sdiag[k] / r[k][k]
-                    cos = 0.5 / math.sqrt(0.25 + 0.25 * tan * tan)
-                    sin = cos * tan
-                r[k][k] = cos * r[k][k] + sin * sdiag[k]
-                wa[k], qtbpj = cos * wa[k] + sin * qtbpj, -sin * wa[k] + cos * qtbpj
-                for i in range(k + 1, n):
-                    r[i][k], sdiag[i] = (
-                        cos * r[i][k] + sin * sdiag[i], -sin * r[i][k] + cos * sdiag[i]
-                    )
-        sdiag[j] = r[j][j]
-        r[j][j] = x[j]
-    nsing = next((j for j in range(n) if sdiag[j] == 0.0), n)
-    wa[nsing:] = [0.0] * (n - nsing)
-    for j in reversed(range(nsing)):
-        s = _dot([r[i][j] for i in range(j + 1, nsing)], wa[j + 1:nsing])
-        wa[j] = (wa[j] - s) / sdiag[j]
-    for j in range(n):
-        x[ipvt[j]] = wa[j]
-    return x, sdiag
-
-
-def _lmpar(r, ipvt, diag, qtb, delta: float, par: float) -> tuple[float, list[float]]:
-    """More's search for the damping par whose step x has |D x| close to
-    delta. Returns (par, x); par is 0 when the Gauss-Newton step fits."""
-    n = len(diag)
-    nsing = next((j for j in range(n) if r[j][j] == 0.0), n)
-    wa1 = list(qtb[:nsing]) + [0.0] * (n - nsing)
-    for j in reversed(range(nsing)):
-        wa1[j] /= r[j][j]
-        for i in range(j):
-            wa1[i] -= r[i][j] * wa1[j]
-    x = [0.0] * n
-    for j in range(n):
-        x[ipvt[j]] = wa1[j]
-    wa2 = [d * xj for d, xj in zip(diag, x)]
-    dxnorm = _enorm(wa2)
+def _lmpar(jtj: np.ndarray, g: np.ndarray, diag: np.ndarray, delta: float, par: float):
+    """More's search for the damping par whose step p, the solution of
+    (J^T J + par D^2) p = -g with g = J^T f, has |D p| within a tenth of
+    delta. Returns (par, p); par is 0 when the Gauss-Newton step fits. A
+    coordinate whose column of J is zero, one that ``_natural`` clips, is
+    held still."""
+    step = np.zeros(g.size)
+    free = np.diag(jtj) > 0.0
+    a, g, d = jtj[np.ix_(free, free)], g[free], diag[free]
+    x, singular = _solve(a, g)
+    dxnorm = _norm(d * x)
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
-        return 0.0, x
-    # the Newton step gives a lower bound parl unless R is singular
+        step[free] = -x
+        return 0.0, step
+    # the Newton step gives a lower bound parl unless J^T J is singular
     parl = 0.0
-    if nsing == n:
-        wa1 = [diag[l] * (wa2[l] / dxnorm) for l in ipvt]
-        for j in range(n):
-            s = _dot([r[i][j] for i in range(j)], wa1[:j])
-            wa1[j] = (wa1[j] - s) / r[j][j]
-        temp = _enorm(wa1)
-        parl = ((fp / delta) / temp) / temp
-    wa1 = [_dot([r[i][j] for i in range(j + 1)], qtb) / diag[ipvt[j]] for j in range(n)]
-    gnorm = _enorm(wa1)
+    if not singular and free.all():
+        parl = fp / delta / _inverse_form(a, d * d * x / dxnorm)
+    gnorm = _norm(g / d)
     paru = gnorm / delta
     if paru == 0.0:
         paru = _DWARF / min(delta, 0.1)
@@ -593,93 +486,62 @@ def _lmpar(r, ipvt, diag, qtb, delta: float, par: float) -> tuple[float, list[fl
     for iteration in range(1, 11):
         if par == 0.0:
             par = max(_DWARF, 0.001 * paru)
-        root = math.sqrt(par)
-        x, sdiag = _qrsolv(r, ipvt, [root * d for d in diag], qtb)
-        wa2 = [d * xj for d, xj in zip(diag, x)]
-        dxnorm = _enorm(wa2)
+        damped = a + np.diag(par * d * d)
+        x = _solve(damped, g)[0]
+        dxnorm = _norm(d * x)
         previous, fp = fp, dxnorm - delta
-        if (
-            abs(fp) <= 0.1 * delta
-            or (parl == 0.0 and fp <= previous and previous < 0.0)
-            or iteration == 10
-        ):
+        if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= previous < 0.0) or iteration == 10:
             break
         # Newton correction
-        wa1 = [diag[l] * (wa2[l] / dxnorm) for l in ipvt]
-        for j in range(n):
-            wa1[j] /= sdiag[j]
-            for i in range(j + 1, n):
-                wa1[i] -= r[i][j] * wa1[j]
-        temp = _enorm(wa1)
-        parc = ((fp / delta) / temp) / temp
+        parc = fp / delta / _inverse_form(damped, d * d * x / dxnorm)
         if fp > 0.0:
             parl = max(parl, par)
         elif fp < 0.0:
             paru = min(paru, par)
         par = max(parl, par + parc)
-    return par, x
+    step[free] = -x
+    return par, step
 
 
 def _levenberg_marquardt(residual, jacobian, t0: np.ndarray, max_nfev: int):
-    """Minimize |residual(t)|^2 from t0 (MINPACK lmder, see above).
+    """Minimize |residual(t)|^2 from t0 (More's method, see above).
 
     Returns the solution and its residual vector. Raises FitFailureError
     when max_nfev residual evaluations pass without convergence.
     """
-    n = t0.size
     t = np.array(t0, dtype=float)
     fvec = residual(t)
     nfev = 1
-    fnorm = _enorm(fvec)
+    fnorm = _norm(fvec)
     par = 0.0
     first = True
     while True:
-        a = np.array(jacobian(t).T)  # row j holds the Jacobian's column j
-        ipvt, rdiag, acnorm = _qrfac(a)
+        jac = jacobian(t)
+        jtj, g = jac.T @ jac, jac.T @ fvec
+        acnorm = np.sqrt(np.diag(jtj))
         if first:
-            diag = [c if c != 0.0 else 1.0 for c in acnorm]
-            xnorm = _enorm([d * v for d, v in zip(diag, t.tolist())])
+            diag = np.where(acnorm > 0.0, acnorm, 1.0)
+            xnorm = _norm(diag * t)
             delta = _LM_FACTOR * xnorm if xnorm != 0.0 else _LM_FACTOR
-        # Q^T fvec, and R into an n x n list with its diagonal restored
-        wa4 = fvec.copy()
-        qtf = []
-        for j in range(n):
-            if a[j, j] != 0.0:
-                temp = -_dot(a[j, j:], wa4[j:]) / a[j, j]
-                wa4[j:] += a[j, j:] * temp
-            a[j, j] = rdiag[j]
-            qtf.append(float(wa4[j]))
-        r = a[:, :n].T.tolist()
-        # scaled gradient norm
-        gnorm = 0.0
-        if fnorm != 0.0:
-            for j in range(n):
-                l = ipvt[j]
-                if acnorm[l] != 0.0:
-                    s = _dot([r[i][j] for i in range(j + 1)], [q / fnorm for q in qtf])
-                    gnorm = max(gnorm, abs(s / acnorm[l]))
-        if gnorm <= _LM_TOL:
+        # gtol bounds the largest cosine between f and a column of J
+        cols = acnorm > 0.0
+        if fnorm == 0.0 or np.max(np.abs(g[cols]) / acnorm[cols], initial=0.0) <= _LM_TOL * fnorm:
             return t, fvec
-        diag = [max(d, c) for d, c in zip(diag, acnorm)]
+        diag = np.maximum(diag, acnorm)
         while True:
-            par, step = _lmpar(r, ipvt, diag, qtf, delta, par)
-            step = [-v for v in step]
+            par, step = _lmpar(jtj, g, diag, delta, par)
             t_new = t + step
-            pnorm = _enorm([d * v for d, v in zip(diag, step)])
+            pnorm = _norm(diag * step)
             if first:
                 delta = min(delta, pnorm)
             f_new = residual(t_new)
             nfev += 1
-            fnorm1 = _enorm(f_new)
+            fnorm1 = _norm(f_new)
             actred = -1.0
             if 0.1 * fnorm1 < fnorm:
                 actred = 1.0 - (fnorm1 / fnorm) * (fnorm1 / fnorm)
-            # predicted reduction and directional derivative, from R P^T step
-            wa3 = [0.0] * n
-            for j in range(n):
-                for i in range(j + 1):
-                    wa3[i] += r[i][j] * step[ipvt[j]]
-            temp1 = _enorm(wa3) / fnorm
+            # predicted reduction and directional derivative
+            temp1 = _norm(jac @ step) / fnorm
             temp2 = math.sqrt(par) * pnorm / fnorm
             prered = temp1 * temp1 + temp2 * temp2 / 0.5
             dirder = -(temp1 * temp1 + temp2 * temp2)
@@ -695,7 +557,7 @@ def _levenberg_marquardt(residual, jacobian, t0: np.ndarray, max_nfev: int):
                 par *= 0.5
             if ratio >= 1e-4:
                 t, fvec, fnorm = t_new, f_new, fnorm1
-                xnorm = _enorm([d * v for d, v in zip(diag, t.tolist())])
+                xnorm = _norm(diag * t)
                 first = False
             if (
                 abs(actred) <= _LM_TOL and prered <= _LM_TOL and 0.5 * ratio <= 1.0
@@ -710,8 +572,10 @@ def _levenberg_marquardt(residual, jacobian, t0: np.ndarray, max_nfev: int):
 
 
 def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCurve:
-    """Fit one rate family to windowed observations by damped least squares
-    (Levenberg-Marquardt with analytic Jacobians).
+    """Fit one rate family to windowed observations by damped least squares:
+    More's Levenberg-Marquardt method with analytic Jacobians, in lmder's
+    mode-1 settings. It agrees with MINPACK's lmder within the corpus
+    tolerances stated above, not bit for bit.
 
     Returns the fitted curve with per-parameter variance estimates taken
     from the diagonal of the residual-scaled inverse approximate Hessian.

@@ -1045,6 +1045,13 @@ class TestSimulateCommand:
          "power b must be finite"),
         ({"n": 100, "kind": "uniform", "params": {"a": float("nan")}, "seed": 1},
          "synthetic params require a >= 0"),
+        # a misspelled or unread key; each simulated as if it were absent
+        ({"n": 100, "kind": "uniform", "params": {"a": 0.1}, "seed": 1, "nosie": 0.3},
+         "unknown field 'nosie'; expected one of n, kind, params, seed, noise, topic_id"),
+        ({"n": 100, "kind": "uniform", "params": {"a": 0.1, "bb": 5}, "seed": 1},
+         "field 'params.bb' is not a parameter of kind 'uniform'"),
+        ({"n": 100, "kind": "exponential", "params": {"a": 0.5, "b": -0.01, "c": 0.0},
+          "seed": 1}, "field 'params.c' is not a parameter of kind 'exponential'"),
     ])
     def test_invalid_field_exit_2(self, tmp_path, capsys, entry, named):
         path = tmp_path / "bad.json"

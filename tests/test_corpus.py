@@ -474,6 +474,22 @@ class TestGenerateSynthetic:
                              **fields})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("uniform", {"a": 0.1, "bb": 5},
+         "field 'params.bb' is not a parameter of kind 'uniform', which reads a"),
+        ("exponential", {"a": 0.5, "b": -0.01, "c": 0.0},
+         "field 'params.c' is not a parameter of kind 'exponential', which reads a, b"),
+        ("ap_prior", {"b": -1.0, "a": 60.0},
+         "field 'params.b' is not a parameter of kind 'ap_prior', which reads a"),
+        ("hyperbolic", {"a": 0.5, "b": 0.5, "c": 0.01, "d": 1.0, "e": 2.0},
+         "field 'params.d' is not a parameter of kind 'hyperbolic', which reads a, b, c"),
+    ])
+    def test_params_the_kind_does_not_read_refused(self, kind, params, message):
+        # each was accepted and ignored; the first unread key is named
+        with pytest.raises(ValidationError) as err:
+            SyntheticSpec(n=100, kind=kind, params=params, seed=1)
+        assert str(err.value) == message
+
     def test_numbers_of_any_type_are_stored_as_python_numbers(self):
         spec = SyntheticSpec(n=np.int64(300), kind="exponential", seed=np.uint8(4),
                              params={"a": 1, "b": np.float32(-0.01)}, noise=np.float64(0.1))

@@ -208,6 +208,11 @@ class TestEstimateRemainingCox:
         # past the memory bound StoppingConfig.cox_grid shares
         with pytest.raises(ValidationError):
             estimate_remaining_cox(curve, 1, 100, 0.95, grid=163)
+        # an odd count of the wrong type, which numpy refused with a TypeError
+        with pytest.raises(ValidationError, match="odd integer"):
+            estimate_remaining_cox(curve, 1, 100, 0.95, grid=9.0)
+        nine = estimate_remaining_cox(curve, 1, 100, 0.95, grid=9)
+        assert estimate_remaining_cox(curve, 1, 100, 0.95, grid=np.int64(9)) == nine
 
     def test_all_grid_points_invalid(self):
         # b centred far above zero with tiny spread: every point violates b <= 0

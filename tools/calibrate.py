@@ -19,6 +19,12 @@ family meets data of its own shape and of the others. The target recall is
 settings are the library defaults (confidence 0.95). Everything is seeded,
 so the output is the same on every run of the same code. It takes about
 15 s on a 2-core x86-64 host; it is not part of the test suite.
+
+The table of this checkout is ``tools/calibration_table.json``. A change
+that moves it regenerates that file, so the diff shows its effect; CI
+builds the table afresh and diffs it against the file. Every value in it
+comes from integer bounds and counts, so a last-bit change in a fit moves
+it only at a tie.
 """
 
 from __future__ import annotations

@@ -34,7 +34,8 @@ and ``compare --methods ip`` runs with ``--target-size 0`` and with
 ``--rho -1``, which no method run reads. On each spec variant,
 ``simulate`` runs on copies whose last spec has ``n`` as ``3000.0``,
 ``seed`` as ``true``, param ``a`` as a string, param ``a`` as a 401-digit
-integer, ``topic_id`` as ``7``, or no ``params``.
+integer, ``topic_id`` as ``7``, no ``params``, an unknown key ``nosie``,
+or a param ``bb`` that its kind does not read.
 
 The commands run under the caller's ``PYTHONHASHSEED``, or 0 if it is
 unset. No output may depend on it, so two hash seeds must print the
@@ -140,6 +141,8 @@ def _faulty_specs(variant: Path, work: Path) -> dict[str, Path]:
         "param-huge": ("params", {"a": 10 ** 400}),
         "topic-id-int": ("topic_id", 7),
         "params-missing": ("params", None),
+        "key-unknown": ("nosie", 0.3),
+        "param-unread": ("params", {"a": 0.5, "b": 0.5, "c": 0.01, "bb": 5}),
     }
     copies = {}
     for label, (key, value) in faults.items():
