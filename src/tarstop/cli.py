@@ -7,10 +7,14 @@ Subcommands:
   sweep     grid-search stopping configurations, flagging the Pareto frontier
   simulate  generate synthetic topics from a spec file and compare methods
 
-Outputs are CSV or JSON, written only after the whole computation
-succeeds (no partial files). Every command is deterministic given its
-flags and seed; randomized methods default to a fixed seed rather than
-wall-clock entropy. Exit codes: 0 success, 2 usage/configuration error
+Outputs are CSV or JSON. Once the whole computation succeeds, each is
+serialized straight to its destination, never held whole; a write that
+fails removes the files it wrote (no partial files). CSV on stdout
+carries the topic rows only: the aggregate rows, and with them sweep's
+``pareto`` flags, are written only to the ``.agg.csv`` file beside
+``--output``. Every command is deterministic given its flags and seed;
+randomized methods default to a fixed seed rather than wall-clock
+entropy. Exit codes: 0 success, 2 usage/configuration error
 (an output file that cannot be written included), 3 input parse error,
 4 numeric failure.
 """
@@ -20,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import io
 import itertools
 import json
 import math
@@ -109,7 +112,9 @@ def _add_io_flags(parser: argparse.ArgumentParser, seed: bool = False) -> None:
     methods."""
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--output", type=Path, default=None,
-                        help="output file; stdout when omitted")
+                        help="output file; stdout when omitted. With csv, the "
+                             "aggregate rows (and sweep's pareto flags) are written "
+                             "only beside it, to NAME.agg.csv")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect "
                              "(topics run one after another)")
@@ -314,15 +319,13 @@ def _aggregate_record(cm: metrics.CollectionMetrics) -> dict:
     }
 
 
-def _csv_text(rows: list[dict]) -> str:
+def _write_csv(rows: list[dict], f) -> None:
     """CSV with one column per key of the first row, in its key order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(f, lineterminator="\n")
     columns = list(rows[0])
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_csv_cell(row[col]) for col in columns])
-    return buf.getvalue()
 
 
 def _csv_cell(value) -> str:
@@ -333,27 +336,34 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _write_json(payload, f) -> None:
+    json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
+    f.write("\n")
 
 
-def _emit(text: str, output: Path | None, agg_text: str | None = None) -> None:
-    """``text`` to ``output`` (stdout when None) and ``agg_text`` beside it;
-    a file that cannot be written removes those written before it."""
+def _emit(output: Path | None, write, content, agg_content=None) -> None:
+    """``write(content, f)`` to ``output``, or to stdout when it is None, and
+    ``write(agg_content, f)`` to the aggregate file beside ``output``. Each
+    output is serialized straight to its destination, so none is held
+    whole. An exception raised while writing removes the files written so
+    far; an ``OSError`` then exits as a ConfigError."""
     if output is None:
-        sys.stdout.write(text)
+        write(content, sys.stdout)
         return
     written = []
     try:
-        for path, content in ((output, text), (_agg_path(output), agg_text)):
-            if content is not None:
+        for path, data in ((output, content), (_agg_path(output), agg_content)):
+            if data is not None:
                 with open(path, "w", encoding="utf-8") as f:
                     written.append(path)
-                    f.write(content)
-    except OSError as exc:
+                    write(data, f)
+    except BaseException as exc:
         for done in written:
             done.unlink(missing_ok=True)
-        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from None
+        if isinstance(exc, OSError):
+            raise ConfigError(
+                f"cannot write output file {path}: {exc.strerror or exc}") from None
+        raise
 
 
 def _agg_path(output: Path) -> Path:
@@ -457,10 +467,9 @@ def _write_metrics_outputs(
     ):
         raise TarStopError("a metric is not finite; is --target-recall too small?")
     if args.format == "json":
-        payload = {"aggregates": agg_rows, "topics": topic_rows}
-        _emit(_json_text(payload), args.output)
+        _emit(args.output, _write_json, {"aggregates": agg_rows, "topics": topic_rows})
     else:
-        _emit(_csv_text(topic_rows), args.output, _csv_text(agg_rows))
+        _emit(args.output, _write_csv, topic_rows, agg_rows)
     if args.output is not None:
         _print_aggregate_table(agg_rows)
 
@@ -478,9 +487,9 @@ def _cmd_stop(args: argparse.Namespace) -> int:
         for record, outcome, topic in zip(records, outcomes, topics):
             record["traces"] = [_trace_record(t, topic, config) for t in outcome.traces]
     if as_json:
-        _emit(_json_text({"method": config.process.value, "outcomes": records}), args.output)
+        _emit(args.output, _write_json, {"method": config.process.value, "outcomes": records})
     else:
-        _emit(_csv_text(records), args.output)
+        _emit(args.output, _write_csv, records)
     return 0
 
 

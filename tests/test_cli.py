@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from tarstop import cli
 from tarstop.cli import main
 from tarstop.corpus import SYNTHETIC_KINDS
+from tarstop.errors import ConfigError
 
 METRIC_HEADER = "topic,method,recall,cost,hit_target,RE,loss_r,loss_e,loss_er"
 
@@ -954,6 +955,79 @@ class TestOutputFile:
         assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "cmp.agg.csv", "qrels.txt", "run.txt"]
+
+
+class TestStreamedOutput:
+    """Each output is serialized straight to its destination: it is never
+    held whole, stdout gets the bytes a file gets, and a write that fails
+    leaves no file."""
+
+    @staticmethod
+    def rows(n: int) -> list[dict]:
+        """Rows shaped like sweep's topic rows."""
+        return [
+            {"process": "ip", "rate": "hyp", "nrmse_threshold": 0.1, "min_rel": "dynamic",
+             "target_recall": 0.9, "confidence": 0.95,
+             "topic": f"T{i:05d}", "recall": i / n, "cost": (i % 97) / 97,
+             "hit_target": i % 2 == 0, "RE": i / (3 * n), "loss_r": (i % 89) / 89,
+             "loss_e": None, "loss_er": (i % 83) / 83}
+            for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_memory_is_a_small_share_of_the_output(self, fmt, tmp_path):
+        """``json.dumps(indent=2)`` holds every chunk of the text, several
+        bytes of heap per output byte, and a ``StringIO`` holds the whole
+        csv; written as they are serialized, neither reaches a tenth. (The
+        csv writer's own record buffer takes 128 KiB at its first row.)"""
+        rows = self.rows(20_000)
+        out = tmp_path / f"out.{fmt}"
+        write, content = (cli._write_json, {"topics": rows}) if fmt == "json" else (
+            cli._write_csv, rows)
+        tracemalloc.start()
+        try:
+            cli._emit(out, write, content)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert peak < size / 10, f"peak {peak} B for {size} B of output"
+
+    @pytest.mark.parametrize("failing", ["out.csv", "out.agg.csv"])
+    @pytest.mark.parametrize("error", [RuntimeError("no more rows"),
+                                       OSError(28, "No space left on device")])
+    def test_a_write_failing_midway_leaves_no_file(self, failing, error, tmp_path):
+        def write(rows, f):
+            cli._write_csv(rows[:1], f)  # the first chunk reaches the file
+            f.flush()
+            if Path(f.name).name == failing:
+                raise error
+            cli._write_csv(rows, f)
+
+        rows = self.rows(10)
+        expected = ConfigError if isinstance(error, OSError) else RuntimeError
+        with pytest.raises(expected) as raised:
+            cli._emit(tmp_path / "out.csv", write, rows, rows)
+        if isinstance(error, OSError):
+            assert str(raised.value) == (
+                f"cannot write output file {tmp_path / failing}: No space left on device")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_bytes_equal_file_bytes(self, fmt, fixture_files, tmp_path):
+        run, qrels = fixture_files
+        argv = [sys.executable, "-m", "tarstop.cli", "compare", *flags(run, qrels),
+                "--methods", "ip,knee", "--format", fmt]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = tmp_path / f"cmp.{fmt}"
+        stdout = subprocess.run(argv, capture_output=True, env=env, check=True).stdout
+        subprocess.run([*argv, "--output", str(out)], capture_output=True, env=env, check=True)
+        assert stdout == out.read_bytes()
+        if fmt == "csv":  # the topic rows only: three topics, three methods
+            assert stdout.splitlines()[0].decode() == METRIC_HEADER
+            assert len(stdout.splitlines()) == 1 + 3 * 3
+        else:
+            assert len(json.loads(stdout)["aggregates"]) == 3
 
 
 class TestSimulateCommand:

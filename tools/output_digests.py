@@ -10,11 +10,16 @@ is) and runs the program of this checkout (``src/``) on every variant:
   run + qrels variants (``stop_deep``, ``sweep_grid``):
     stop --trace, as json and as csv; stop --trace as json with each
     other rate family and with the cox process; compare with every
-    method; sweep over both processes and every rate;
+    method, and sweep over both processes and every rate, each as json
+    and as csv;
   spec variants (``simulate_cox``):
-    simulate with ip and cox, once per rate family.
+    simulate with ip and cox, once per rate family, and as csv.
 
-It prints one sha256 per command, over every file the command wrote, with
+It also runs each subcommand once without ``--output`` (stop --trace,
+evaluate of stop's outcomes as csv, compare, sweep as csv, simulate).
+
+It prints one sha256 per command, over every file the command wrote (a
+csv output with its ``.agg.csv``), or over what it wrote to stdout, with
 a label naming the seed, the variant and the command. Run it at two
 commits and compare the lines. Nothing it writes outlives the run.
 
@@ -63,34 +68,56 @@ RATES = ("exp", "hyp", "pow", "ap")
 METHODS = "ip,cox,oracle,target,target-adapted,knee"
 
 
-def _commands(workload: str, variant: Path) -> dict[str, list[str]]:
-    """The commands run on one input variant, by label."""
+def _commands(workload: str, variant: Path, outputs: Path) -> dict[str, list[str]]:
+    """The commands run on one input variant, by label, in order. Each
+    writes into ``outputs / label``; a label ending in ``-stdout`` runs
+    without ``--output``."""
     if workload == "simulate_cox":
         spec = ["simulate", "--spec", str(variant / "spec.json"), "--methods", "ip,cox"]
-        return {f"simulate-{rate}": [*spec, "--rate", rate] for rate in RATES}
+        return {
+            **{f"simulate-{rate}": [*spec, "--rate", rate] for rate in RATES},
+            "simulate-csv": [*spec, "--format", "csv"],
+            "simulate-stdout": spec,
+        }
     inputs = ["--run", str(variant / "run.txt"), "--qrels", str(variant / "qrels.txt")]
     trace = ["stop", *inputs, "--trace", "--format", "json"]
+    compare = ["compare", *inputs, "--methods", METHODS]
+    sweep = ["sweep", *inputs, "--processes", "ip,cox"]
     return {
         "stop-json": trace,
         "stop-csv": ["stop", *inputs, "--trace", "--format", "csv"],
         **{f"stop-json-{rate}": [*trace, "--rate", rate] for rate in RATES if rate != "hyp"},
         "stop-json-cox": [*trace, "--process", "cox"],
-        "compare": ["compare", *inputs, "--methods", METHODS],
-        "sweep": ["sweep", *inputs, "--processes", "ip,cox"],
+        "compare": compare,
+        "compare-csv": [*compare, "--format", "csv"],
+        "sweep": sweep,
+        "sweep-csv": [*sweep, "--format", "csv"],
+        # the stdout of each subcommand, in one format each
+        "stop-stdout": trace,
+        "evaluate-stdout": ["evaluate", "--outcomes", str(outputs / "stop-json" / "out.json"),
+                            *inputs, "--format", "csv"],
+        "compare-stdout": compare,
+        "sweep-stdout": [*sweep, "--format", "csv"],
     }
 
 
 def _run(args: list[str], **kwargs) -> subprocess.CompletedProcess:
-    """Run the command line of this checkout on ``args``, output discarded."""
+    """Run the command line of this checkout on ``args``, its stdout
+    discarded unless ``kwargs`` say otherwise."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.setdefault("PYTHONHASHSEED", "0")
+    kwargs.setdefault("stdout", subprocess.DEVNULL)
     return subprocess.run([sys.executable, "-m", "tarstop.cli", *args],
-                          cwd=ROOT, env=env, stdout=subprocess.DEVNULL, **kwargs)
+                          cwd=ROOT, env=env, **kwargs)
 
 
-def _digest(args: list[str], out_dir: Path) -> str:
-    """Run one command; hash the files it wrote, in name order."""
+def _digest(args: list[str], out_dir: Path, to_stdout: bool) -> str:
+    """Run one command; hash the files it wrote, in name order, or what it
+    wrote to stdout."""
     out_dir.mkdir()
+    if to_stdout:
+        stdout = _run(args, check=True, stdout=subprocess.PIPE).stdout
+        return hashlib.sha256(b"stdout\0" + stdout).hexdigest()
     suffix = ".csv" if "csv" in args else ".json"
     _run([*args, "--output", str(out_dir / f"out{suffix}")], check=True)
     digest = hashlib.sha256()
@@ -202,11 +229,12 @@ def main(argv: list[str] | None = None) -> int:
                 subprocess.run([sys.executable, str(INPUTS), workload, str(seed), str(inputs)],
                                check=True)
                 for variant in sorted(p for p in inputs.iterdir() if p.is_dir()):
-                    for label, command in _commands(workload, variant).items():
+                    outputs = work / "out" / f"{workload}-{seed}-{variant.name}"
+                    outputs.mkdir(parents=True)
+                    for label, command in _commands(workload, variant, outputs).items():
                         name = f"{workload}/seed{seed}/{variant.name}/{label}"
-                        out_dir = work / "out" / name.replace("/", "-")
-                        out_dir.parent.mkdir(exist_ok=True)
-                        print(f"{_digest(command, out_dir)}  {name}", flush=True)
+                        digest = _digest(command, outputs / label, label.endswith("-stdout"))
+                        print(f"{digest}  {name}", flush=True)
                     faults = work / "faults" / f"{workload}-{seed}-{variant.name}"
                     faults.mkdir(parents=True)
                     for label, (command, copy) in _error_commands(
