@@ -82,19 +82,16 @@ def _mixture_quantile(masses: np.ndarray, weights: np.ndarray, p: float) -> int:
     The mixture has one Poisson component per mass, weighted by the
     matching (normalized) weight. Direct summation of the mass functions;
     exactness matters at the small means typical near a stopping decision.
-    The count array starts at the mixture's mean plus four of its standard
-    deviations (its variance is the mean plus the masses' variance) and
-    doubles until the cdf reaches p, capped once at the cap for the largest
-    mass, which covers every component: a count's probability does not
-    depend on the array's length, so the first length only sets how often
-    it doubles. Raises DegenerateDistributionError when the largest mass, or
+    The count array starts at the cap for the mixture's mean and doubles
+    until the cdf reaches p, capped once at the cap for the largest mass,
+    which covers every component: a count's probability does not depend
+    on the array's length, so the first cap only sets how often it
+    doubles. Raises DegenerateDistributionError when the largest mass, or
     the sum, would need more than 2**22 terms, so a wild grid point fails
     at once, as it would when summed on its own.
     """
     top = _summation_cap(float(masses.max()))
-    mean = float(weights @ masses)
-    sd = math.sqrt(max(0.0, mean + float(weights @ (masses * masses)) - mean * mean))
-    cap = min(top, int(mean + 4.0 * sd + 10.0))
+    cap = _summation_cap(float(weights @ masses))
     while True:
         cdf = np.cumsum(_mixture_pmf(masses, weights, cap + 1))
         if cdf[-1] >= p:

@@ -395,22 +395,13 @@ def _fit_problem(points: WindowedEstimates, kind: RateKind, n_total: int):
     coords = tuple(family.params.values())
     x, y = points.x, points.y
     family.check((), n_total, x)
-    last = [None, None, None]  # t's bytes, its natural values and its rate
-
-    def rate_at(t: np.ndarray):
-        # the minimizer asks for the Jacobian where the residual just was
-        key = t.tobytes()
-        if key != last[0]:
-            nat = _natural(kind, t)
-            last[:] = key, nat, family.rate(x, n_total, *nat)
-        return last[1], last[2]
 
     def residual(t: np.ndarray) -> np.ndarray:
-        return rate_at(t)[1] - y
+        return family.rate(x, n_total, *_natural(kind, t)) - y
 
     def jacobian(t: np.ndarray) -> np.ndarray:
-        nat, rate = rate_at(t)
-        jac = np.stack(family.jacobian(x, rate, *nat), axis=1)
+        nat = _natural(kind, t)
+        jac = np.stack(family.jacobian(x, family.rate(x, n_total, *nat), *nat), axis=1)
         jac[:, [
             abs(tv) > _T_CLIP or v in coord.clips
             for tv, v, coord in zip(t.tolist(), nat, coords)

@@ -9,7 +9,6 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
-from tarstop import estimates
 from tarstop.errors import DegenerateDistributionError, ValidationError
 from tarstop.estimates import (
     _BLOCK_ELEMENTS,
@@ -469,23 +468,6 @@ class TestMixtureBlocks:
         expected = _reference_quantile(masses, weights, 0.95)
         assert (expected > mean_cap) == (extreme_weight > 0.05)
         assert _mixture_quantile(masses, weights, 0.95) == expected
-
-    def test_first_length_below_the_quantile_doubles(self, monkeypatch):
-        # mean 11 and sd 316 start the array near 1,285 counts; half of the
-        # rare component's weight lies past 10,000
-        masses, weights, p = np.array([1.0, 10_000.0]), np.array([0.999, 0.001]), 0.9995
-        top = _summation_cap(10_000.0)
-        expected = int(np.searchsorted(np.cumsum(_mixture_pmf(masses, weights, top + 1)), p))
-        sizes = []
-
-        def recorded(m, w, size):
-            sizes.append(size)
-            return _mixture_pmf(m, w, size)
-
-        monkeypatch.setattr(estimates, "_mixture_pmf", recorded)
-        assert _mixture_quantile(masses, weights, p) == expected
-        assert sizes[0] - 1 < expected < top
-        assert len(sizes) > 1 and sizes[-1] <= top + 1
 
     def test_working_memory_stays_at_one_block(self):
         # grid 161 on a two-parameter family: 25,921 components, which all

@@ -1,6 +1,5 @@
 """Rate families: values, closed-form integrals, windows, fitting, NRMSE."""
 
-import dataclasses
 import math
 import warnings
 
@@ -444,33 +443,6 @@ class TestRateJacobian:
         assert not jacobian(np.array([0.0, -29.0, -4.0]))[:, 1].any()
         assert not jacobian(np.array([0.0, 0.0, -51.0]))[:, 2].any()
         assert jacobian(np.array([0.0, 0.0, -4.0])).all()
-
-    @pytest.mark.parametrize("kind, t", [
-        (RateKind.EXPONENTIAL, [math.log(0.6), math.log(0.01)]),
-        (RateKind.HYPERBOLIC, [math.log(0.6), 0.0, math.log(0.02)]),
-        (RateKind.AP_PRIOR, [math.log(0.6)]),
-    ])
-    def test_jacobian_reuses_the_residuals_rate(self, monkeypatch, kind, t):
-        # the minimizer asks for jacobian(t) right after residual(t)
-        xs = np.arange(13.0, 2000.0, 25.0)
-        pts = WindowedEstimates(xs, np.full(xs.size, 0.1), 25)
-        expected = rates._fit_problem(pts, kind, 5000)
-        family = kind.family
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return family.rate(*args)
-
-        monkeypatch.setitem(rates._FAMILIES, kind, dataclasses.replace(family, rate=counted))
-        residual, jacobian, _t0 = rates._fit_problem(pts, kind, 5000)
-        t = np.array(t)
-        assert np.array_equal(residual(t), expected[0](t))
-        assert np.array_equal(jacobian(t), expected[1](t))
-        assert len(calls) == 1
-        assert np.array_equal(jacobian(t + 0.5), expected[1](t + 0.5))  # another point
-        assert np.array_equal(residual(t), expected[0](t))
-        assert len(calls) == 3
 
 
 def _fit_corpus():
