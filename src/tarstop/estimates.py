@@ -17,6 +17,7 @@ relevant documents already seen.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,16 +55,13 @@ def poisson_pmf(mean: float, m: int) -> float:
     return math.exp(-mean + m * math.log(mean) - log_gamma(m + 1))
 
 
-# Longest count array a quantile search may allocate (32 MiB of float64).
-# A wild fit can imply a mass of 1e13 or more; it fails cleanly instead.
+# Most counts a quantile search may sum (32 MiB of float64). A wild fit
+# can imply a mass of 1e13 or more; it fails cleanly instead.
 _MAX_COUNTS = 2**22
 
 
 def _summation_cap(mean: float) -> int:
-    return _bounded_cap(int(mean + 20.0 * math.sqrt(mean) + 100.0))
-
-
-def _bounded_cap(cap: int) -> int:
+    cap = int(mean + 20.0 * math.sqrt(mean) + 100.0)
     if cap + 1 > _MAX_COUNTS:
         raise DegenerateDistributionError(
             f"count bound would need {cap + 1} terms, over the {_MAX_COUNTS} limit"
@@ -75,6 +73,9 @@ def _bounded_cap(cap: int) -> int:
 # (2**13 float64 elements are 64 KiB).
 _BLOCK_ELEMENTS = 2**13
 
+# Fewest counts in the first chunk of a quantile search.
+_FIRST_CHUNK = 32
+
 
 def _mixture_quantile(masses: np.ndarray, weights: np.ndarray, p: float) -> int:
     """Smallest m whose cumulative probability under a Poisson mixture reaches p.
@@ -82,38 +83,55 @@ def _mixture_quantile(masses: np.ndarray, weights: np.ndarray, p: float) -> int:
     The mixture has one Poisson component per mass, weighted by the
     matching (normalized) weight. Direct summation of the mass functions;
     exactness matters at the small means typical near a stopping decision.
-    The count array starts at the cap for the mixture's mean and doubles
-    until the cdf reaches p, capped once at the cap for the largest mass,
-    which covers every component: a count's probability does not depend
-    on the array's length, so the first cap only sets how often it
-    doubles. Raises DegenerateDistributionError when the largest mass, or
-    the sum, would need more than 2**22 terms, so a wild grid point fails
-    at once, as it would when summed on its own.
+    The counts are summed in chunks from 0, each twice as wide as the one
+    before; each chunk's cumulative sum continues from the last one's
+    total, and the search stops at the first chunk whose cdf reaches p. So
+    the work follows the quantile, and every cdf value is the one a single
+    array would give. The first chunk is as wide as one block of
+    ``_BLOCK_ELEMENTS`` holds with a row per component, but at least
+    ``_FIRST_CHUNK`` counts, so a single Poisson with a mean up to about
+    6,000 takes one chunk.
+
+    The chunks end at the cap for the largest mass, past which every
+    component's tail is below e**-200 and cannot move the cdf. Raises
+    DegenerateDistributionError when the cdf there still rounds short of
+    p, or when that cap would need more than 2**22 terms, so a wild grid
+    point fails at once, as it would when summed on its own.
     """
-    top = _summation_cap(float(masses.max()))
-    cap = _summation_cap(float(weights @ masses))
-    while True:
-        cdf = np.cumsum(_mixture_pmf(masses, weights, cap + 1))
+    top = _summation_cap(float(masses.max())) + 1
+    start, total = 0, 0.0
+    width = max(_FIRST_CHUNK, _BLOCK_ELEMENTS // masses.size)
+    while start < top:
+        width = min(width, top - start)
+        cdf = _mixture_pmf(masses, weights, width, start)
+        cdf[0] += total
+        np.cumsum(cdf, out=cdf)
         if cdf[-1] >= p:
-            return int(np.searchsorted(cdf, p, side="left"))
-        cap = min(2 * cap, top) if cap < top else _bounded_cap(2 * cap)
+            return start + int(np.searchsorted(cdf, p, side="left"))
+        start, total, width = start + width, float(cdf[-1]), 2 * width
+    raise DegenerateDistributionError(
+        f"count distribution's cdf reaches {total!r} by count {top - 1}, short of p = {p!r}"
+    )
 
 
-def _mixture_pmf(masses: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """The mixture's probabilities of the counts 0..size-1.
+def _mixture_pmf(
+    masses: np.ndarray, weights: np.ndarray, size: int, start: int = 0
+) -> np.ndarray:
+    """The mixture's probabilities of the counts start..start+size-1.
 
     Components are summed in row blocks of about ``_BLOCK_ELEMENTS``; each
     block is folded into the running sum left to right, so every count's
     probability is added up in component order, as one component at a
-    time would, and the memory used grows with the count range only.
+    time would, and the memory used grows with the count range only. A
+    count's probability does not depend on start or size.
     """
-    counts = np.arange(size, dtype=float)
-    log_fact = log_factorials(size)
+    counts = np.arange(start, start + size, dtype=float)
+    log_fact = log_factorials(start + size)[start:]
     rows = max(1, _BLOCK_ELEMENTS // size)
     mixture = None
-    for start in range(0, masses.size, rows):
-        m = masses[start:start + rows]
-        w = weights[start:start + rows]
+    for first in range(0, masses.size, rows):
+        m = masses[first:first + rows]
+        w = weights[first:first + rows]
         values = m.tolist()
         # math.log, not numpy's, which differs in the last bit for some arguments
         block = np.multiply.outer([math.log(v) if v else 0.0 for v in values], counts)
@@ -124,7 +142,8 @@ def _mixture_pmf(masses: np.ndarray, weights: np.ndarray, size: int) -> np.ndarr
         if 0.0 in values:  # a zero mass puts all of its weight on count 0
             zero = m == 0.0
             block[zero] = 0.0
-            block[zero, 0] = w[zero]
+            if start == 0:
+                block[zero, 0] = w[zero]
         if mixture is not None:
             block[0] += mixture
         mixture = np.add.reduce(block, axis=0)
@@ -140,7 +159,7 @@ def poisson_quantile(mean: float, p: float) -> int:
     """Smallest m whose cumulative Poisson probability reaches p.
 
     Raises DegenerateDistributionError when the sum would need more than
-    2**22 terms.
+    2**22 terms, or when the cdf rounds short of p.
     """
     _check_confidence(p)
     if mean < 0 or not math.isfinite(mean):
@@ -213,7 +232,7 @@ def estimate_remaining_cox(
     axes, axis_weights = _param_grids(curve, grid)
     # one column per grid point, in row-major order: the order of the weight sum
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    weights = np.multiply.reduce(np.meshgrid(*axis_weights, indexing="ij")).ravel()
+    weights = functools.reduce(np.multiply.outer, axis_weights).ravel()
     valid = family.admits(points)
     if not valid.any():
         raise DegenerateDistributionError(
@@ -222,20 +241,23 @@ def estimate_remaining_cox(
     weights = weights[valid]
     weights = weights / weights.sum()
 
-    # One integral per point of the shape parameters (all but a, every
-    # family's first), over the a axis at once. Each family's integral is
-    # a times or over scalars of the shape alone, which math.exp and
-    # math.log1p compute: numpy's exp differs from math.exp in the last bit
-    # for some arguments, but its elementwise * and / round as Python's do.
+    # The scalars of each point of the shape parameters (all but a, every
+    # family's first) come from math.exp and math.log1p: numpy's exp
+    # differs from math.exp in the last bit for some arguments, but its
+    # elementwise * and / round as Python's do, so the masses of every a at
+    # once, in the family's order of operations, are the scalar routine's.
     # The kept points meet RateParams' constraints.
     a_axis = axes[0]
     valid = valid.reshape(a_axis.size, -1)  # row per a, column per shape point
-    masses = np.zeros(valid.shape)
-    for s in np.flatnonzero(valid.any(axis=0)):
-        rows = valid[:, s]
-        masses[rows, s] = family.integral(
-            i, j, params.n_total, (a_axis[rows], *points[1:, s].tolist())
-        )
+    masses = np.zeros(valid.shape)  # an empty interval's, as in integral: no signed zeros
+    if i < j:
+        shapes = points[1:, :valid.shape[1]].T.tolist()  # the columns of the first a
+        # a shape point outside its ranges gets no area call; its masses are dropped
+        scalars = np.array([
+            family.area(i, j, params.n_total, *shape) if kept else (1.0, 0.0)
+            for shape, kept in zip(shapes, valid.any(axis=0).tolist())
+        ])
+        masses = family.scale(a_axis[:, None], *scalars.T)
     masses = masses[valid]  # row-major, the order of the weights
     mean_mass = float(weights @ masses)
     return RemainingEstimate((i, j), mean_mass, _mixture_quantile(masses, weights, p), p)

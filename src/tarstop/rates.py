@@ -100,16 +100,16 @@ def _ap_rate(x, n, a):
     return a * np.log(n / x) / _ap_normalizer(n)
 
 
-def _hyperbolic_area(i, j, n, a, b, c):
+def _hyperbolic_area(i, j, n, b, c):
     if b < _HYP_B_ZERO:
-        return a / c * (math.exp(-c * i) - math.exp(-c * j))
+        return c, math.exp(-c * i) - math.exp(-c * j)
     if abs(b - 1.0) < _HYP_B_ONE:
-        return a / c * (math.log1p(c * j) - math.log1p(c * i))
+        return c, math.log1p(c * j) - math.log1p(c * i)
     e = 1.0 - 1.0 / b
     # antiderivative a/(c(b-1)) * (1+bcx)^(1-1/b), log-space power
     term_j = math.exp(e * math.log1p(b * c * j))
     term_i = math.exp(e * math.log1p(b * c * i))
-    return a / (c * (b - 1.0)) * (term_j - term_i)
+    return c * (b - 1.0), term_j - term_i
 
 
 def _hyperbolic_jacobian(x, f, a, b, c):
@@ -153,11 +153,12 @@ class _Family:
     kind: RateKind
     params: dict[str, _Coordinate]  # free parameters, in canonical order
     rate: Callable  # (x, n_total, *values) -> the rate at positions x
-    area: Callable  # (i, j, n_total, *values) -> its integral over [i, j], i < j;
-    # a, the first value, may be an array: the integral is a times or over scalars
+    area: Callable  # (i, j, n_total, *values but a) -> (d, f), i < j: the scalars
+    # of the integral over [i, j], a / d * f; or a * f / d if scale_first
     jacobian: Callable  # (x, rate at x, *values) -> d rate / d t, one column each
     start: Callable  # (window centers, window means, n_total) -> the fit's first t
     reads_n_total: bool = False
+    scale_first: bool = False
 
     def check(self, values, n_total, x: np.ndarray | None = None) -> None:
         """``RateParams``' checks: each free value in order, then n_total;
@@ -190,7 +191,13 @@ class _Family:
 
     def integral(self, i: float, j: float, n_total: int | None, values) -> float:
         """``rate_integral`` on raw values, over an interval it accepts."""
-        return 0.0 if i == j else self.area(i, j, n_total, *values)
+        a, *shape = values
+        return 0.0 if i == j else self.scale(a, *self.area(i, j, n_total, *shape))
+
+    def scale(self, a, d, f):
+        """The integral from ``area``'s scalars, in this family's order of
+        operations; a, d and f may be arrays that broadcast."""
+        return a * f / d if self.scale_first else a / d * f
 
     def admits(self, points: np.ndarray) -> np.ndarray:
         """Mask of the Cox grid's points (columns, a row per free parameter)
@@ -202,8 +209,8 @@ _FAMILIES = {family.kind: family for family in (
     _Family(
         RateKind.EXPONENTIAL, {"a": _POSITIVE, "b": _FALLING},
         rate=lambda x, n, a, b: a * np.exp(b * x),
-        area=lambda i, j, n, a, b: a * (j - i) if abs(b) < _EXP_B_ZERO
-        else a / b * (math.exp(b * j) - math.exp(b * i)),
+        area=lambda i, j, n, b: (1.0, j - i) if abs(b) < _EXP_B_ZERO
+        else (b, math.exp(b * j) - math.exp(b * i)),
         jacobian=lambda x, f, a, b: [f, f * (b * x)],
         start=lambda x, y, n: _decline_start(x, y, -1e-3),
     ),
@@ -219,8 +226,8 @@ _FAMILIES = {family.kind: family for family in (
     _Family(
         RateKind.POWER_LAW, {"a": _POSITIVE, "b": _FALLING},
         rate=lambda x, n, a, b: a * np.power(x, b),
-        area=lambda i, j, n, a, b: a * math.log(j / i) if abs(b + 1.0) < _POW_B_NEG1
-        else a / (b + 1.0) * (j ** (b + 1.0) - i ** (b + 1.0)),
+        area=lambda i, j, n, b: (1.0, math.log(j / i)) if abs(b + 1.0) < _POW_B_NEG1
+        else (b + 1.0, j ** (b + 1.0) - i ** (b + 1.0)),
         jacobian=lambda x, f, a, b: [f, f * (b * np.log(x))],
         start=lambda x, y, n: _decline_start(np.log(x), y, -0.5, -10.0),
     ),
@@ -228,11 +235,13 @@ _FAMILIES = {family.kind: family for family in (
         RateKind.AP_PRIOR, {"a": _POSITIVE},
         rate=_ap_rate,
         # x*log(n/x) + x is an antiderivative of log(n/x)
-        area=lambda i, j, n, a: a * ((j * math.log(n / j) + j) - (i * math.log(n / i) + i))
-        / _ap_normalizer(n),
+        area=lambda i, j, n: (
+            _ap_normalizer(n), (j * math.log(n / j) + j) - (i * math.log(n / i) + i)
+        ),
         jacobian=lambda x, f, a: [f],
         start=_ap_start,
         reads_n_total=True,
+        scale_first=True,
     ),
 )}
 

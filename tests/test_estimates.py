@@ -10,8 +10,10 @@ from scipy import stats
 from scipy.special import gammaln
 
 from tarstop.errors import DegenerateDistributionError, ValidationError
+from tarstop import estimates
 from tarstop.estimates import (
     _BLOCK_ELEMENTS,
+    _FIRST_CHUNK,
     _mixture_pmf,
     _mixture_quantile,
     _summation_cap,
@@ -525,3 +527,87 @@ class TestMemoryBound:
         mean = 3.5e6
         q = poisson_quantile(mean, 0.95)
         assert stats.poisson.cdf(q, mean) >= 0.95 > stats.poisson.cdf(q - 1, mean)
+
+
+# 1 - 2**-53, the largest float below 1: no summed cdf reaches it
+NEAR_ONE = 0.9999999999999999
+
+
+class TestChunkedSearch:
+    """The quantile search sums counts in doubling chunks from 0 and stops
+    at the first chunk whose cdf reaches p, with the reference's answer."""
+
+    @staticmethod
+    def mixture(rng, size=300):
+        masses = rng.uniform(10.0, 30.0, size)
+        weights = rng.uniform(0.1, 1.0, size)
+        return masses, weights / weights.sum()
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_quantile_at_the_first_chunk_boundary(self, rng, step):
+        masses, weights = self.mixture(rng)
+        width = max(_FIRST_CHUNK, _BLOCK_ELEMENTS // masses.size)
+        cdf = np.cumsum(_reference_pmf(masses, weights, 4 * width))
+        last = width - 1
+        assert cdf[last - 1] < cdf[last] < cdf[last + 1] < 1.0
+        # p = cdf[last] ends the search in the first chunk, on its last
+        # count; the next float up ends it on the first count of the next
+        p = float(cdf[last]) if step == 0 else math.nextafter(float(cdf[last]), 1.0)
+        expected = _reference_quantile(masses, weights, p)
+        assert expected == last + step
+        assert _mixture_quantile(masses, weights, p) == expected
+
+    def test_cdf_of_later_chunks_is_the_single_arrays(self, rng):
+        # every cdf value of the second and third chunks, as p, returns its
+        # own count: the chunked sums equal one array's to the bit
+        masses, weights = self.mixture(rng)
+        masses *= 4.0  # 40 to 120, so that the cdf stays below 1 in both
+        width = max(_FIRST_CHUNK, _BLOCK_ELEMENTS // masses.size)
+        cdf = np.cumsum(_reference_pmf(masses, weights, 7 * width)).tolist()
+        ks = [k for k in range(width, 7 * width) if cdf[k - 1] < cdf[k] < 1.0]
+        assert len(ks) > 4 * width
+        assert [_mixture_quantile(masses, weights, cdf[k]) for k in ks] == ks
+
+    def test_chunks_double_and_stop_at_the_quantile(self, rng, monkeypatch):
+        masses, weights = self.mixture(rng)
+        masses[0] = 400.0  # a cap for the largest mass far above the quantile
+        chunks = []
+        pmf = estimates._mixture_pmf
+
+        def recording(masses, weights, size, start=0):
+            chunks.append((start, size))
+            return pmf(masses, weights, size, start)
+
+        monkeypatch.setattr(estimates, "_mixture_pmf", recording)
+        p = 0.999
+        q = _mixture_quantile(masses, weights, p)
+        assert q == _reference_quantile(masses, weights, p)
+        assert [start for start, _ in chunks] == [0] + list(
+            itertools.accumulate(size for _, size in chunks[:-1])
+        )
+        assert [size for _, size in chunks] == [chunks[0][1] * 2**k for k in range(len(chunks))]
+        start, size = chunks[-1]
+        assert len(chunks) > 1 and start <= q < start + size
+
+    def test_low_confidence_gives_zero(self, rng):
+        masses = rng.uniform(0.1, 2.0, 50)
+        weights = np.full(50, 1.0 / 50)
+        assert _reference_quantile(masses, weights, 0.05) == 0
+        assert _mixture_quantile(masses, weights, 0.05) == 0
+        assert poisson_quantile(1.0, 0.05) == 0
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.999, NEAR_ONE])
+    def test_single_zero_mass(self, p):
+        masses, weights = np.array([0.0]), np.array([1.0])
+        assert _mixture_quantile(masses, weights, p) == _reference_quantile(masses, weights, p)
+        assert poisson_quantile(0.0, p) == 0
+
+    def test_near_one_confidence_raises_at_once(self):
+        # the cdf rounds short of p: past the largest mass's cap the tail
+        # is below e**-200 and cannot move it, so the search stops there
+        one = np.array([1.0])
+        assert np.cumsum(_reference_pmf(5.0 * one, one, 200))[-1] < NEAR_ONE
+        peak = TestMemoryBound.peak_bytes(lambda: poisson_quantile(5.0, NEAR_ONE))
+        assert peak < 1 << 20
+        with pytest.raises(DegenerateDistributionError, match="short of p = 0.9999999999999999"):
+            poisson_quantile(5.0, NEAR_ONE)

@@ -144,6 +144,35 @@ class TestRateIntegral:
                 rate_integral(near, 1, 800), rel=1e-5
             )
 
+    @pytest.mark.parametrize("kind", list(RateKind))
+    def test_closed_forms_to_the_bit(self, kind, rng):
+        # each family's closed form in its own order of operations: the Cox
+        # grid scales an array of a by the same scalars and must match
+        def literal(a, b=None, c=None, n=None):
+            if kind is RateKind.EXPONENTIAL:
+                return a / b * (math.exp(b * j) - math.exp(b * i))
+            if kind is RateKind.POWER_LAW:
+                return a / (b + 1.0) * (j ** (b + 1.0) - i ** (b + 1.0))
+            if kind is RateKind.HYPERBOLIC:
+                e = 1.0 - 1.0 / b
+                terms = math.exp(e * math.log1p(b * c * j)) - math.exp(e * math.log1p(b * c * i))
+                return a / (c * (b - 1.0)) * terms
+            z = n * math.log(n) - rates.log_gamma(n + 1)
+            return a * ((j * math.log(n / j) + j) - (i * math.log(n / i) + i)) / z
+
+        for _ in range(50):
+            p = draw_params(kind, rng)
+            i, j = int(rng.integers(1, 500)), int(rng.integers(600, 6000))
+            if kind is RateKind.HYPERBOLIC and not 1e-9 <= p.b <= 1.0 - 1e-9:
+                continue
+            expected = literal(*p.values(), n=p.n_total)
+            assert rate_integral(p, i, j) == expected
+            a = np.array([p.a, 2.0 * p.a])
+            d, f = kind.family.area(i, j, p.n_total, *p.values()[1:])
+            assert kind.family.scale(a, d, f).tolist() == [
+                expected, literal(2.0 * p.a, *p.values()[1:], n=p.n_total)
+            ]
+
     def test_ap_prior_unscaled_mass_is_one(self):
         for n in (1000, 5000, 100000):
             p = RateParams(RateKind.AP_PRIOR, a=1.0, n_total=n)

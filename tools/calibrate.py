@@ -18,7 +18,7 @@ family meets data of its own shape and of the others. The target recall is
 0.99 so that runs screen deep and most checkpoints are evaluated; the other
 settings are the library defaults (confidence 0.95). Everything is seeded,
 so the output is the same on every run of the same code. It takes about
-15 s on a 2-core x86-64 host; it is not part of the test suite.
+8 s on a 2-core x86-64 host; it is not part of the test suite.
 
 The table of this checkout is ``tools/calibration_table.json``. A change
 that moves it regenerates that file, so the diff shows its effect; CI

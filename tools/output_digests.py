@@ -9,7 +9,9 @@ is) and runs the program of this checkout (``src/``) on every variant:
 
   run + qrels variants (``stop_deep``, ``sweep_grid``):
     stop --trace, as json and as csv; stop --trace as json with each
-    other rate family and with the cox process; compare with every
+    other rate family, with the cox process and with the confidence
+    0.9999999999999999, the largest float below 1, which the cdf of
+    some count bounds rounds short of; compare with every
     method, and sweep over both processes and every rate, each as json
     and as csv;
   spec variants (``simulate_cox``):
@@ -88,6 +90,7 @@ def _commands(workload: str, variant: Path, outputs: Path) -> dict[str, list[str
         "stop-csv": ["stop", *inputs, "--trace", "--format", "csv"],
         **{f"stop-json-{rate}": [*trace, "--rate", rate] for rate in RATES if rate != "hyp"},
         "stop-json-cox": [*trace, "--process", "cox"],
+        "stop-confidence-near-one": [*trace, "--confidence", "0.9999999999999999"],
         "compare": compare,
         "compare-csv": [*compare, "--format", "csv"],
         "sweep": sweep,
