@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DegenerateDistributionError, ValidationError, is_integer
 from .rates import RateCurve, rate_integral
-from .special import log_factorials, log_gamma
 
 
 class ProcessKind(enum.Enum):
@@ -48,11 +47,31 @@ def poisson_pmf(mean: float, m: int) -> float:
     """P(N = m) for a Poisson with the given mean, computed in log space."""
     if mean < 0 or not math.isfinite(mean):
         raise ValueError(f"mean must be finite and >= 0, got {mean}")
+    if not is_integer(m):
+        raise ValueError(f"count must be an integer, got {m!r}")
     if m < 0:
         raise ValueError(f"count must be >= 0, got {m}")
     if mean == 0.0:
         return 1.0 if m == 0 else 0.0
-    return math.exp(-mean + m * math.log(mean) - log_gamma(m + 1))
+    return math.exp(-mean + m * math.log(mean) - math.lgamma(m + 1))
+
+
+# log(k!) for k = 0, 1, ...; grown by doubling and never shrunk
+_log_factorials = np.empty(0)
+
+
+def log_factorials(size: int) -> np.ndarray:
+    """Read-only view of log(k!) for k = 0..size-1."""
+    global _log_factorials
+    have = _log_factorials.size
+    if size > have:
+        grown = max(size, 2 * have)
+        table = np.empty(grown)
+        table[:have] = _log_factorials
+        table[have:] = [math.lgamma(k + 1) for k in range(have, grown)]
+        table.flags.writeable = False
+        _log_factorials = table
+    return _log_factorials[:size]
 
 
 # Most counts a quantile search may sum (32 MiB of float64). A wild fit
@@ -120,10 +139,11 @@ def _mixture_pmf(
     """The mixture's probabilities of the counts start..start+size-1.
 
     Components are summed in row blocks of about ``_BLOCK_ELEMENTS``; each
-    block is folded into the running sum left to right, so every count's
-    probability is added up in component order, as one component at a
-    time would, and the memory used grows with the count range only. A
-    count's probability does not depend on start or size.
+    block takes its masses' logs and is folded into the running sum left
+    to right, so every count's probability is added up in component
+    order, as one component at a time would, and the memory used grows
+    with the count range only. A count's probability does not depend on
+    start or size.
     """
     counts = np.arange(start, start + size, dtype=float)
     log_fact = log_factorials(start + size)[start:]
@@ -132,15 +152,13 @@ def _mixture_pmf(
     for first in range(0, masses.size, rows):
         m = masses[first:first + rows]
         w = weights[first:first + rows]
-        values = m.tolist()
-        # math.log, not numpy's, which differs in the last bit for some arguments
-        block = np.multiply.outer([math.log(v) if v else 0.0 for v in values], counts)
+        block = np.multiply.outer(np.log(m, out=np.zeros(m.size), where=m > 0), counts)
         block -= m[:, None]
         block -= log_fact
         np.exp(block, out=block)
         block *= w[:, None]
-        if 0.0 in values:  # a zero mass puts all of its weight on count 0
-            zero = m == 0.0
+        zero = m == 0.0
+        if zero.any():  # a zero mass puts all of its weight on count 0
             block[zero] = 0.0
             if start == 0:
                 block[zero, 0] = w[zero]
@@ -159,7 +177,8 @@ def poisson_quantile(mean: float, p: float) -> int:
     """Smallest m whose cumulative Poisson probability reaches p.
 
     Raises DegenerateDistributionError when the sum would need more than
-    2**22 terms, or when the cdf rounds short of p.
+    2**22 terms, or when the cdf rounds short of p. For p within a few
+    ulps of 1, which of the two answers comes out is decided by rounding.
     """
     _check_confidence(p)
     if mean < 0 or not math.isfinite(mean):
@@ -241,23 +260,20 @@ def estimate_remaining_cox(
     weights = weights[valid]
     weights = weights / weights.sum()
 
-    # The scalars of each point of the shape parameters (all but a, every
-    # family's first) come from math.exp and math.log1p: numpy's exp
-    # differs from math.exp in the last bit for some arguments, but its
-    # elementwise * and / round as Python's do, so the masses of every a at
-    # once, in the family's order of operations, are the scalar routine's.
-    # The kept points meet RateParams' constraints.
+    # Each point of the shape parameters (all but a, every family's first)
+    # takes one unit-scale area, and each mass is a times it, as in
+    # integral. The kept points meet RateParams' constraints.
     a_axis = axes[0]
     valid = valid.reshape(a_axis.size, -1)  # row per a, column per shape point
     masses = np.zeros(valid.shape)  # an empty interval's, as in integral: no signed zeros
     if i < j:
         shapes = points[1:, :valid.shape[1]].T.tolist()  # the columns of the first a
         # a shape point outside its ranges gets no area call; its masses are dropped
-        scalars = np.array([
-            family.area(i, j, params.n_total, *shape) if kept else (1.0, 0.0)
+        unit = [
+            family.area(i, j, params.n_total, *shape) if kept else 0.0
             for shape, kept in zip(shapes, valid.any(axis=0).tolist())
-        ])
-        masses = family.scale(a_axis[:, None], *scalars.T)
+        ]
+        masses = np.multiply.outer(a_axis, unit)
     masses = masses[valid]  # row-major, the order of the weights
     mean_mass = float(weights @ masses)
     return RemainingEstimate((i, j), mean_mass, _mixture_quantile(masses, weights, p), p)

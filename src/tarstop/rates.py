@@ -37,8 +37,8 @@ from .errors import (
     InsufficientDataError,
     UndefinedRangeError,
     ValidationError,
+    is_integer,
 )
-from .special import expit, log_gamma
 
 # Branch guards for the singular closed-form cases.
 _HYP_B_ZERO = 1e-9
@@ -83,7 +83,8 @@ class _Coordinate:
 _POSITIVE = _Coordinate(math.exp, lambda v: v, lambda v: v > 0, "> 0")
 _FALLING = _Coordinate(lambda t: -math.exp(t), lambda v: v, lambda v: v <= 0, None)
 _UNIT = _Coordinate(
-    lambda t: min(max(expit(t), _SIG_CLIP), 1.0 - _SIG_CLIP), lambda v: v * (1.0 - v),
+    lambda t: min(max(1.0 / (1.0 + math.exp(-t)), _SIG_CLIP), 1.0 - _SIG_CLIP),
+    lambda v: v * (1.0 - v),
     lambda v: (v >= 0.0) & (v <= 1.0), "in [0, 1]", (_SIG_CLIP, 1.0 - _SIG_CLIP),
 )
 
@@ -93,7 +94,7 @@ _UNIT = _Coordinate(
 
 def _ap_normalizer(n_total: int) -> float:
     # n*log(n) - log(n!) via log-gamma, safe for very large n.
-    return n_total * math.log(n_total) - log_gamma(n_total + 1)
+    return n_total * math.log(n_total) - math.lgamma(n_total + 1)
 
 
 def _ap_rate(x, n, a):
@@ -102,14 +103,14 @@ def _ap_rate(x, n, a):
 
 def _hyperbolic_area(i, j, n, b, c):
     if b < _HYP_B_ZERO:
-        return c, math.exp(-c * i) - math.exp(-c * j)
+        return (math.exp(-c * i) - math.exp(-c * j)) / c
     if abs(b - 1.0) < _HYP_B_ONE:
-        return c, math.log1p(c * j) - math.log1p(c * i)
+        return (math.log1p(c * j) - math.log1p(c * i)) / c
     e = 1.0 - 1.0 / b
-    # antiderivative a/(c(b-1)) * (1+bcx)^(1-1/b), log-space power
+    # antiderivative (1+bcx)^(1-1/b) / (c(b-1)), log-space power
     term_j = math.exp(e * math.log1p(b * c * j))
     term_i = math.exp(e * math.log1p(b * c * i))
-    return c * (b - 1.0), term_j - term_i
+    return (term_j - term_i) / (c * (b - 1.0))
 
 
 def _hyperbolic_jacobian(x, f, a, b, c):
@@ -153,12 +154,11 @@ class _Family:
     kind: RateKind
     params: dict[str, _Coordinate]  # free parameters, in canonical order
     rate: Callable  # (x, n_total, *values) -> the rate at positions x
-    area: Callable  # (i, j, n_total, *values but a) -> (d, f), i < j: the scalars
-    # of the integral over [i, j], a / d * f; or a * f / d if scale_first
+    area: Callable  # (i, j, n_total, *values but a) -> the integral over [i, j],
+    # i < j, at a = 1; every rate is linear in a
     jacobian: Callable  # (x, rate at x, *values) -> d rate / d t, one column each
     start: Callable  # (window centers, window means, n_total) -> the fit's first t
     reads_n_total: bool = False
-    scale_first: bool = False
 
     def check(self, values, n_total, x: np.ndarray | None = None) -> None:
         """``RateParams``' checks: each free value in order, then n_total;
@@ -173,15 +173,21 @@ class _Family:
                 raise ValidationError(f"{label} must be {coord.bound}, got {v}")
             if not math.isfinite(v):
                 raise ValidationError(f"{label} must be finite, got {v}")
-        if self.reads_n_total and (n_total is None or n_total < 2):
+        if not self.reads_n_total:
+            return
+        if not (n_total is None or is_integer(n_total)):
+            raise ValidationError(f"{name} n_total must be an integer, got {n_total!r}")
+        if n_total is None or n_total < 2:
             raise ValidationError(f"{name} needs n_total >= 2, got {n_total}")
-        if self.reads_n_total and x is not None and (np.any(x < 1) or np.any(x > n_total)):
+        if x is not None and (np.any(x < 1) or np.any(x > n_total)):
             raise ValidationError(
                 f"{name} rate is defined on [1, {n_total}]; got positions outside it"
             )
 
     def check_interval(self, n_total: int | None, i: float, j: float) -> None:
         """The interval checks of ``rate_integral``."""
+        if math.isnan(i) or math.isnan(j):
+            raise ValueError(f"interval ends must be numbers, got [{i}, {j}]")
         if i > j:
             raise ValueError(f"interval start {i} exceeds end {j}")
         if i < 1:
@@ -192,12 +198,7 @@ class _Family:
     def integral(self, i: float, j: float, n_total: int | None, values) -> float:
         """``rate_integral`` on raw values, over an interval it accepts."""
         a, *shape = values
-        return 0.0 if i == j else self.scale(a, *self.area(i, j, n_total, *shape))
-
-    def scale(self, a, d, f):
-        """The integral from ``area``'s scalars, in this family's order of
-        operations; a, d and f may be arrays that broadcast."""
-        return a * f / d if self.scale_first else a / d * f
+        return 0.0 if i == j else a * self.area(i, j, n_total, *shape)
 
     def admits(self, points: np.ndarray) -> np.ndarray:
         """Mask of the Cox grid's points (columns, a row per free parameter)
@@ -209,8 +210,8 @@ _FAMILIES = {family.kind: family for family in (
     _Family(
         RateKind.EXPONENTIAL, {"a": _POSITIVE, "b": _FALLING},
         rate=lambda x, n, a, b: a * np.exp(b * x),
-        area=lambda i, j, n, b: (1.0, j - i) if abs(b) < _EXP_B_ZERO
-        else (b, math.exp(b * j) - math.exp(b * i)),
+        area=lambda i, j, n, b: j - i if abs(b) < _EXP_B_ZERO
+        else (math.exp(b * j) - math.exp(b * i)) / b,
         jacobian=lambda x, f, a, b: [f, f * (b * x)],
         start=lambda x, y, n: _decline_start(x, y, -1e-3),
     ),
@@ -226,8 +227,8 @@ _FAMILIES = {family.kind: family for family in (
     _Family(
         RateKind.POWER_LAW, {"a": _POSITIVE, "b": _FALLING},
         rate=lambda x, n, a, b: a * np.power(x, b),
-        area=lambda i, j, n, b: (1.0, math.log(j / i)) if abs(b + 1.0) < _POW_B_NEG1
-        else (b + 1.0, j ** (b + 1.0) - i ** (b + 1.0)),
+        area=lambda i, j, n, b: math.log(j / i) if abs(b + 1.0) < _POW_B_NEG1
+        else (j ** (b + 1.0) - i ** (b + 1.0)) / (b + 1.0),
         jacobian=lambda x, f, a, b: [f, f * (b * np.log(x))],
         start=lambda x, y, n: _decline_start(np.log(x), y, -0.5, -10.0),
     ),
@@ -236,12 +237,11 @@ _FAMILIES = {family.kind: family for family in (
         rate=_ap_rate,
         # x*log(n/x) + x is an antiderivative of log(n/x)
         area=lambda i, j, n: (
-            _ap_normalizer(n), (j * math.log(n / j) + j) - (i * math.log(n / i) + i)
-        ),
+            (j * math.log(n / j) + j) - (i * math.log(n / i) + i)
+        ) / _ap_normalizer(n),
         jacobian=lambda x, f, a: [f],
         start=_ap_start,
         reads_n_total=True,
-        scale_first=True,
     ),
 )}
 
@@ -352,6 +352,8 @@ def window_estimates(labels, window_size: int) -> WindowedEstimates:
     window shorter than half the window size is dropped; otherwise it is
     averaged over its actual length.
     """
+    if not is_integer(window_size):
+        raise ValidationError(f"window_size must be an integer, got {window_size!r}")
     if window_size < 1:
         raise ValidationError(f"window_size must be >= 1, got {window_size}")
     arr = np.asarray(labels, dtype=float)

@@ -832,6 +832,19 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"tarstop: {message}\n"
 
 
+def test_cli_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, tarstop.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestFlagSurface:
     """Each subcommand takes only the flags it reads."""
 

@@ -19,6 +19,7 @@ from tarstop.estimates import (
     _summation_cap,
     estimate_remaining_cox,
     estimate_remaining_ip,
+    log_factorials,
     poisson_pmf,
     poisson_quantile,
 )
@@ -64,6 +65,53 @@ class TestPoissonPmf:
         with pytest.raises(ValueError):
             poisson_pmf(1.0, -1)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, float("nan")])
+    def test_count_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match=f"count must be an integer, got {m!r}"):
+            poisson_pmf(5.0, m)
+
+    def test_numpy_integer_count(self):
+        assert poisson_pmf(5.0, np.int64(3)) == poisson_pmf(5.0, 3)
+
+    def test_near_scipy_at_large_counts(self, rng):
+        # log m! is a few ulps from scipy's; the exponent's rounding scales with it
+        for mean, m in zip(rng.uniform(0.1, 500.0, 200), rng.integers(0, 2000, 200).tolist()):
+            tolerance = 16 * np.spacing(float(gammaln(m + 1)) + m * abs(math.log(mean)) + mean)
+            assert poisson_pmf(float(mean), m) == pytest.approx(
+                stats.poisson.pmf(m, mean), rel=tolerance, abs=1e-300
+            )
+
+
+class TestLogFactorials:
+    """The table's entries are math.lgamma(k + 1); scipy's gammaln is the oracle."""
+
+    @staticmethod
+    def ulps(ours, oracle) -> np.ndarray:
+        ours, oracle = np.asarray(ours), np.asarray(oracle)
+        return np.abs(ours - oracle) / np.spacing(np.abs(oracle))
+
+    def test_table_within_4_ulps_of_gammaln_to_2_16(self):
+        k = np.arange(2**16 + 1, dtype=float)
+        table = log_factorials(k.size)
+        assert table[:2].tolist() == [0.0, 0.0]
+        assert self.ulps(table[2:], gammaln(k[2:] + 1)).max() <= 4
+
+    def test_entries_within_4_ulps_of_gammaln_on_a_sample_to_2_22(self, rng):
+        # the count limit of a quantile search; growing the table that far
+        # would hold 32 MiB for the rest of the session, so sample its entries
+        ks = rng.integers(2, 2**22, size=20_000).tolist() + [12, 13, 999, 1000, 2**22 - 1]
+        ours = [math.lgamma(k + 1) for k in ks]
+        assert self.ulps(ours, gammaln(np.array(ks, dtype=float) + 1)).max() <= 4
+
+    def test_table_grows_by_doubling_and_keeps_its_values(self):
+        small = log_factorials(100).copy()
+        have = estimates._log_factorials.size
+        large = log_factorials(have + 1)
+        assert large.size == have + 1
+        assert estimates._log_factorials.size == 2 * have
+        assert np.array_equal(large[:100], small)
+        assert not large.flags.writeable
+
 
 class TestPoissonQuantile:
     def test_derived_examples(self):
@@ -96,6 +144,12 @@ class TestPoissonQuantile:
             poisson_quantile(1.0, 0.0)
         with pytest.raises(ValueError):
             poisson_quantile(1.0, 1.0)
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95, 0.999])
+    def test_equals_scipy_ppf(self, p):
+        means = np.geomspace(0.01, 1e4, 400)
+        ours = [poisson_quantile(mean, p) for mean in means.tolist()]
+        assert ours == stats.poisson.ppf(p, means).astype(int).tolist()
 
 
 class TestEstimateRemainingIp:
@@ -141,6 +195,12 @@ class TestEstimateRemainingIp:
 
 
 class TestEstimateRemainingCox:
+    @pytest.mark.parametrize("i, j", [(10, math.nan), (math.nan, 100)])
+    def test_nan_interval_end_rejected(self, i, j):
+        curve = make_curve(RateKind.EXPONENTIAL, (1e-4, 1e-8), a=0.5, b=-0.01)
+        with pytest.raises(ValueError, match="interval ends must be numbers"):
+            estimate_remaining_cox(curve, i, j, 0.95)
+
     def test_zero_variance_equals_ip(self):
         curve = make_curve(RateKind.EXPONENTIAL, (0.0, 0.0), a=0.5, b=-0.01)
         assert estimate_remaining_cox(curve, 100, 1000, 0.95) == estimate_remaining_ip(
@@ -302,7 +362,7 @@ def _reference_pmf(masses, weights, size):
             row = np.zeros(size)
             row[0] = 1.0
         else:
-            row = np.exp(-lam + counts * math.log(lam) - gammaln(counts + 1))
+            row = np.exp(-lam + counts * np.log(lam) - log_factorials(size))
         mixture += w * row
     return mixture
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit, gammaln
 
 from tarstop import rates
 from tarstop.corpus import SyntheticSpec, generate_synthetic
@@ -104,6 +105,12 @@ class TestRateIntegral:
         with pytest.raises(ValueError):
             rate_integral(p, 10, 5)
 
+    @pytest.mark.parametrize("i, j", [(1, math.nan), (math.nan, 10), (math.nan, math.nan)])
+    def test_nan_interval_end_rejected(self, i, j):
+        p = RateParams(RateKind.EXPONENTIAL, a=1.0, b=-0.5)
+        with pytest.raises(ValueError, match="interval ends must be numbers"):
+            rate_integral(p, i, j)
+
     def test_hyperbolic_matches_simpson(self):
         p = RateParams(RateKind.HYPERBOLIC, a=0.3, b=0.5, c=0.02)
         oracle = composite_simpson(lambda x: np.asarray(rate_value(p, x)), 1, 500)
@@ -146,19 +153,19 @@ class TestRateIntegral:
 
     @pytest.mark.parametrize("kind", list(RateKind))
     def test_closed_forms_to_the_bit(self, kind, rng):
-        # each family's closed form in its own order of operations: the Cox
-        # grid scales an array of a by the same scalars and must match
+        # each family's integral is a times its unit-scale area: the Cox
+        # grid multiplies an array of a by the same area and must match
         def literal(a, b=None, c=None, n=None):
             if kind is RateKind.EXPONENTIAL:
-                return a / b * (math.exp(b * j) - math.exp(b * i))
+                return a * ((math.exp(b * j) - math.exp(b * i)) / b)
             if kind is RateKind.POWER_LAW:
-                return a / (b + 1.0) * (j ** (b + 1.0) - i ** (b + 1.0))
+                return a * ((j ** (b + 1.0) - i ** (b + 1.0)) / (b + 1.0))
             if kind is RateKind.HYPERBOLIC:
                 e = 1.0 - 1.0 / b
                 terms = math.exp(e * math.log1p(b * c * j)) - math.exp(e * math.log1p(b * c * i))
-                return a / (c * (b - 1.0)) * terms
-            z = n * math.log(n) - rates.log_gamma(n + 1)
-            return a * ((j * math.log(n / j) + j) - (i * math.log(n / i) + i)) / z
+                return a * (terms / (c * (b - 1.0)))
+            z = n * math.log(n) - math.lgamma(n + 1)
+            return a * (((j * math.log(n / j) + j) - (i * math.log(n / i) + i)) / z)
 
         for _ in range(50):
             p = draw_params(kind, rng)
@@ -168,10 +175,16 @@ class TestRateIntegral:
             expected = literal(*p.values(), n=p.n_total)
             assert rate_integral(p, i, j) == expected
             a = np.array([p.a, 2.0 * p.a])
-            d, f = kind.family.area(i, j, p.n_total, *p.values()[1:])
-            assert kind.family.scale(a, d, f).tolist() == [
+            unit = kind.family.area(i, j, p.n_total, *p.values()[1:])
+            assert (a * unit).tolist() == [
                 expected, literal(2.0 * p.a, *p.values()[1:], n=p.n_total)
             ]
+
+    def test_ap_normalizer_near_scipy(self):
+        # n log n - log n! cancels about log n of log n!'s digits
+        for n in [2, 3, 12, 13, 999, 1000, 5000, 100_000, 10_000_000]:
+            expected = n * math.log(n) - float(gammaln(n + 1))
+            assert rates._ap_normalizer(n) == pytest.approx(expected, rel=4e-15 * math.log(n))
 
     def test_ap_prior_unscaled_mass_is_one(self):
         for n in (1000, 5000, 100000):
@@ -193,6 +206,16 @@ class TestWindowEstimates:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             window_estimates([1, 0, 1, 0, 1], 10)
+
+    @pytest.mark.parametrize("window", [2.5, 2.0, True])
+    def test_non_integer_window_rejected(self, window):
+        with pytest.raises(ValidationError) as err:
+            window_estimates([1, 0, 1, 0, 1], window)
+        assert str(err.value) == f"window_size must be an integer, got {window!r}"
+
+    def test_numpy_integer_window(self):
+        w = window_estimates([1, 0, 1, 0, 1], np.int64(2))
+        assert w.x.tolist() == [1.5, 3.5, 5.0] and w.window_size == 2
 
     def test_short_tail_dropped(self):
         # tail of 2 < 25/2 is dropped
@@ -384,6 +407,18 @@ class TestRateParamsValidation:
         with pytest.raises(ValidationError):
             RateParams(RateKind.AP_PRIOR, a=1.0)
 
+    @pytest.mark.parametrize("n_total", [2.5, 5000.0, True])
+    def test_ap_prior_collection_size_must_be_an_integer(self, n_total):
+        with pytest.raises(ValidationError) as err:
+            RateParams(RateKind.AP_PRIOR, a=1.0, n_total=n_total)
+        assert str(err.value) == f"ap_prior n_total must be an integer, got {n_total!r}"
+
+    def test_ap_prior_takes_a_numpy_integer(self):
+        p = RateParams(RateKind.AP_PRIOR, a=1.0, n_total=np.int64(5000))
+        assert rate_integral(p, 1, 100) == rate_integral(
+            RateParams(RateKind.AP_PRIOR, a=1.0, n_total=5000), 1, 100
+        )
+
     @pytest.mark.parametrize("kind, values, message", [
         (RateKind.EXPONENTIAL, {"a": math.nan, "b": -0.1}, "rate scale a must be > 0, got nan"),
         (RateKind.EXPONENTIAL, {"a": math.inf, "b": -0.1}, "rate scale a must be finite, got inf"),
@@ -430,6 +465,13 @@ _JACOBIAN_POINTS = [
     (RateKind.HYPERBOLIC, [math.log(0.6), 29.0, math.log(0.02)]),  # b clipped
     (RateKind.EXPONENTIAL, [60.0, math.log(0.01)]),  # a clipped
 ]
+
+
+class TestUnitCoordinate:
+    def test_equals_scipy_expit_on_the_clipped_range(self, rng):
+        ts = rng.uniform(-50.0, 50.0, 50_000)
+        ours = [rates._UNIT.natural(t) for t in ts.tolist()]
+        assert ours == np.clip(expit(ts), 1e-12, 1.0 - 1e-12).tolist()
 
 
 class TestRateJacobian:
