@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistributionError, ValidationError, is_integer
-from .rates import RateCurve, rate_integral
+from .rates import _BLOCK_ELEMENTS, RateCurve, rate_integral
 
 
 class ProcessKind(enum.Enum):
@@ -68,7 +68,8 @@ def log_factorials(size: int) -> np.ndarray:
         grown = max(size, 2 * have)
         table = np.empty(grown)
         table[:have] = _log_factorials
-        table[have:] = [math.lgamma(k + 1) for k in range(have, grown)]
+        new = map(math.lgamma, range(have + 1, grown + 1))  # log(k!) = lgamma(k + 1)
+        table[have:] = np.fromiter(new, float, grown - have)
         table.flags.writeable = False
         _log_factorials = table
     return _log_factorials[:size]
@@ -87,10 +88,6 @@ def _summation_cap(mean: float) -> int:
         )
     return cap
 
-
-# Components summed per block: more is faster but holds more memory
-# (2**13 float64 elements are 64 KiB).
-_BLOCK_ELEMENTS = 2**13
 
 # Fewest counts in the first chunk of a quantile search.
 _FIRST_CHUNK = 32

@@ -13,13 +13,18 @@ document at rank x:
 The family table ``_FAMILIES`` is the one place a family is defined: its
 free parameters, each with the coordinate the fit moves it in, its rate,
 the rate's closed-form integral over a rank interval (the mean of the
-counting distribution downstream), its Jacobian columns, the fit's start
-and whether it reads n_total. Everything else reads the table. Fitting
-minimizes squared error between the curve and windowed relevance
+counting distribution downstream), its Jacobian columns, how it is
+fitted and whether it reads n_total. Everything else reads the table.
+Fitting minimizes squared error between the curve and windowed relevance
 frequencies; each coordinate maps an unbounded value onto its parameter's
-range, so the returned variances stay meaningful. ``RateParams`` takes any
-finite b for the exponential and power law, so a synthetic curve may
-rise; only the Cox grid holds them to b <= 0, the decline the fit keeps.
+range, so the returned variances stay meaningful. Every rate is linear
+in its scale a, and three families are fitted by projecting it out
+(variable projection): ap_prior in closed form, the exponential and the
+power law by a blocked grid scan over their one shape coordinate that
+ends at the global least squares on the coordinate's clip range. Only the
+hyperbolic runs Levenberg-Marquardt. ``RateParams`` takes any finite b
+for the exponential and power law, so a synthetic curve may rise; only
+the Cox grid holds them to b <= 0, the decline the fit keeps.
 """
 
 from __future__ import annotations
@@ -129,24 +134,6 @@ def _hyperbolic_jacobian(x, f, a, b, c):
     return [f, f * (dlog_b * (b * (1.0 - b))), f * dc]
 
 
-def _decline_start(u, y, default: float, floor: float = -math.inf) -> list[float]:
-    """Start a at the largest window mean and b at the least-squares slope
-    of log y over u, held below zero."""
-    pos = y > 0
-    b0 = default
-    if pos.sum() >= 2:
-        b0 = min(float(np.polyfit(u[pos], np.log(y[pos]), 1)[0]), -1e-6)
-    return [math.log(float(y.max())), math.log(-max(b0, floor))]
-
-
-def _ap_start(x, y, n):
-    # ap_prior is linear in its scale, so start from the exact solution
-    unit = _ap_rate(x, n, 1.0)
-    denom = float(unit @ unit)
-    a_star = float(unit @ y) / denom if denom > 0 else float(y.max())
-    return [math.log(max(a_star, 1e-12))]
-
-
 @dataclass(frozen=True, eq=False)
 class _Family:
     """One rate family; its closed forms take values that meet its constraints."""
@@ -157,7 +144,8 @@ class _Family:
     area: Callable  # (i, j, n_total, *values but a) -> the integral over [i, j],
     # i < j, at a = 1; every rate is linear in a
     jacobian: Callable  # (x, rate at x, *values) -> d rate / d t, one column each
-    start: Callable  # (window centers, window means, n_total) -> the fit's first t
+    solve: Callable  # (window centers, window means, n_total, residual, jacobian)
+    # -> the fitted t, the least squares of residual(t)
     reads_n_total: bool = False
 
     def check(self, values, n_total, x: np.ndarray | None = None) -> None:
@@ -213,7 +201,7 @@ _FAMILIES = {family.kind: family for family in (
         area=lambda i, j, n, b: j - i if abs(b) < _EXP_B_ZERO
         else (math.exp(b * j) - math.exp(b * i)) / b,
         jacobian=lambda x, f, a, b: [f, f * (b * x)],
-        start=lambda x, y, n: _decline_start(x, y, -1e-3),
+        solve=lambda x, y, n, *problem: _scan_decline(x, y),
     ),
     _Family(
         RateKind.HYPERBOLIC, {"a": _POSITIVE, "b": _UNIT, "c": _POSITIVE},
@@ -222,7 +210,9 @@ _FAMILIES = {family.kind: family for family in (
         else a * np.exp(-np.log1p(b * c * x) / b),
         area=_hyperbolic_area,
         jacobian=_hyperbolic_jacobian,
-        start=lambda x, y, n: [math.log(float(y.max())), 0.0, math.log(0.01)],
+        solve=lambda x, y, n, residual, jacobian: _levenberg_marquardt(
+            residual, jacobian, _hyperbolic_start(y), _LM_BUDGET
+        )[0],
     ),
     _Family(
         RateKind.POWER_LAW, {"a": _POSITIVE, "b": _FALLING},
@@ -230,7 +220,7 @@ _FAMILIES = {family.kind: family for family in (
         area=lambda i, j, n, b: math.log(j / i) if abs(b + 1.0) < _POW_B_NEG1
         else (j ** (b + 1.0) - i ** (b + 1.0)) / (b + 1.0),
         jacobian=lambda x, f, a, b: [f, f * (b * np.log(x))],
-        start=lambda x, y, n: _decline_start(np.log(x), y, -0.5, -10.0),
+        solve=lambda x, y, n, *problem: _scan_decline(np.log(x), y),
     ),
     _Family(
         RateKind.AP_PRIOR, {"a": _POSITIVE},
@@ -240,7 +230,7 @@ _FAMILIES = {family.kind: family for family in (
             (j * math.log(n / j) + j) - (i * math.log(n / i) + i)
         ) / _ap_normalizer(n),
         jacobian=lambda x, f, a: [f],
-        start=_ap_start,
+        solve=lambda x, y, n, *problem: [_log_scale(_ap_rate(x, n, 1.0), y)],
         reads_n_total=True,
     ),
 )}
@@ -397,11 +387,10 @@ def _natural(kind: RateKind, t: np.ndarray) -> tuple[float, ...]:
 
 
 def _fit_problem(points: WindowedEstimates, kind: RateKind, n_total: int):
-    """Residual and Jacobian functions of the transformed parameters, and
-    the starting point, for fitting ``kind`` to ``points``. The inputs are
-    checked here, once: the coordinates keep every value in range. A
-    coordinate that ``_natural`` clips does not move the rate, so its
-    Jacobian column is zero."""
+    """Residual and Jacobian functions of the transformed parameters for
+    fitting ``kind`` to ``points``. The inputs are checked here, once: the
+    coordinates keep every value in range. A coordinate that ``_natural``
+    clips does not move the rate, so its Jacobian column is zero."""
     family = kind.family
     coords = tuple(family.params.values())
     x, y = points.x, points.y
@@ -419,7 +408,102 @@ def _fit_problem(points: WindowedEstimates, kind: RateKind, n_total: int):
         ]] = 0.0
         return jac
 
-    return residual, jacobian, np.array(family.start(x, y, n_total))
+    return residual, jacobian
+
+
+# --- variable projection -----------------------------------------------
+#
+# Every rate is linear in its scale, a * g(x; shape), so at a fixed shape
+# the least squares a is g.y / g.g (variable projection: Golub & Pereyra,
+# SIAM J. Numer. Anal. 1973; Kaufman, BIT 1975). ap_prior has no shape
+# parameter and takes that a in closed form. The exponential and the
+# power law are both a * exp(b u), in u = x and u = log x, and their
+# squared error profiled over a is a function of s = log(-b) alone, which
+# ``_scan_decline`` searches over the whole clip range |s| <= 50 for its
+# global minimum; a is held to |log a| <= 50 at every s, a least squares
+# on an interval, so the minimum is the one on both coordinates' ranges.
+# Each shape row is scaled to 1 at the first window, exp(b (u - u1)), and
+# its scale carries the factor exp(b u1): then no row underflows as a
+# whole and g.g >= 1, where unscaled rows sink into denormals and the
+# profile grows spurious minima. A profile may have several basins whose
+# depths a coarse grid cannot tell apart, so the lowest few are refined.
+# The rows are evaluated in blocks of at most ``_BLOCK_ELEMENTS``, so the
+# scan's memory does not grow with the prefix.
+
+# Elements of one block of rows, here and in the count estimator's sums:
+# more is faster but holds more memory. 2**13 float64 elements are 64 KiB,
+# under the 128 KiB mmap threshold the CLI pins, so blocks reuse the heap.
+_BLOCK_ELEMENTS = 2**13
+_SCAN_POINTS = 257  # coarse grid over |s| <= _T_CLIP, 0.39 apart
+_REFINED = 4  # lowest local minima of the coarse grid that are refined
+_ZOOM_POINTS = 17  # points across each bracket in a refinement round
+_ZOOM_ROUNDS = 4  # each narrows a bracket 8-fold, from 0.78
+
+
+def _log_scale(g: np.ndarray, y: np.ndarray) -> float:
+    """log a of the least squares a * g to y, held in the clip range."""
+    a = float(g @ y) / float(g @ g)
+    return min(max(math.log(a), -_T_CLIP), _T_CLIP) if a > 0.0 else -_T_CLIP
+
+
+def _profile(s: np.ndarray, u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared error of the best a * exp(b u) to y at each s = log(-b),
+    with log a held in the clip range, and the least squares scale of the
+    scaled row exp(b (u - u1)) that gives it."""
+    rows = max(1, _BLOCK_ELEMENTS // u.size)
+    du = u - u[0]
+    sse, scale = np.empty(s.size), np.empty(s.size)
+    for first in range(0, s.size, rows):
+        b = -np.exp(s[first:first + rows])
+        g = np.exp(np.multiply.outer(b, du))
+        # a = scale * exp(-b u1); the clip on log a bounds the scale
+        shift = b * u[0]
+        with np.errstate(over="ignore"):  # an infinite bound holds nothing
+            lo, hi = np.exp(shift - _T_CLIP), np.exp(shift + _T_CLIP)
+        best = np.clip((g @ y) / np.einsum("ij,ij->i", g, g), lo, hi)
+        g *= best[:, None]
+        g -= y
+        sse[first:first + rows] = np.einsum("ij,ij->i", g, g)
+        scale[first:first + rows] = best
+    return sse, scale
+
+
+def _scan_decline(u: np.ndarray, y: np.ndarray) -> list[float]:
+    """The fitted t = (log a, s) of a * exp(-e^s u) to y: the global least
+    squares on the clip range. A coarse grid over s is scanned; each of its
+    lowest few local minima is bracketed by its neighbours and refined by
+    rounds of finer grids across the bracket, and then by the vertex of
+    the parabola through the last round's lowest point and its neighbours.
+    The lowest point seen wins."""
+    grid = np.linspace(-_T_CLIP, _T_CLIP, _SCAN_POINTS)
+    seen = [(grid, *_profile(grid, u, y))]
+    sse = seen[0][1]
+    # a local minimum is below its left neighbour and not above its right one
+    padded = np.r_[np.inf, sse, np.inf]
+    lows = np.flatnonzero((sse < padded[:-2]) & (sse <= padded[2:]))
+    lows = lows[np.argsort(sse[lows], kind="stable")[:_REFINED]]
+    lo, hi = grid[np.maximum(lows - 1, 0)], grid[np.minimum(lows + 1, grid.size - 1)]
+    rows = np.arange(lows.size)
+    for _ in range(_ZOOM_ROUNDS):
+        points = np.linspace(lo, hi, _ZOOM_POINTS, axis=1)
+        seen.append((points.ravel(), *_profile(points.ravel(), u, y)))
+        values = seen[-1][1].reshape(points.shape)
+        at = values.argmin(axis=1)
+        step = (hi - lo) / (_ZOOM_POINTS - 1)
+        lo = points[rows, np.maximum(at - 1, 0)]
+        hi = points[rows, np.minimum(at + 1, _ZOOM_POINTS - 1)]
+    inner = rows[(at > 0) & (at < _ZOOM_POINTS - 1)]
+    left, mid, right = (values[inner, at[inner] + d] for d in (-1, 0, 1))
+    bend = left - 2.0 * mid + right
+    offset = np.divide(left - right, bend, out=np.zeros(inner.size), where=bend > 0.0)
+    vertex = points[inner, at[inner]] + 0.5 * step[inner] * offset
+    seen.append((vertex, *_profile(vertex, u, y)))
+    s, sse, scale = (np.concatenate(parts) for parts in zip(*seen))
+    best = int(np.argmin(sse))
+    if scale[best] == 0.0:  # no relevance where the curve is, and a bound underflowed
+        return [-_T_CLIP, float(s[best])]
+    log_a = math.log(scale[best]) + math.exp(s[best]) * float(u[0])
+    return [min(max(log_a, -_T_CLIP), _T_CLIP), float(s[best])]
 
 
 # --- Levenberg-Marquardt ---------------------------------------------------
@@ -429,18 +513,20 @@ def _fit_problem(points: WindowedEstimates, kind: RateKind, n_total: int):
 # lmder's mode-1 settings: variables scaled by D, the running maximum of the
 # Jacobian's column norms; initial step bound factor * |D t0| with
 # factor = 100; ftol = xtol = gtol = 1e-8; and lmder's rules on the ratio of
-# actual to predicted reduction. With at most three parameters it works on
-# the normal equations: each iteration forms J^T J and J^T f once, and each
-# step solves (J^T J + par D^2) p = -J^T f. Against MINPACK itself, on the
-# tests' corpus of 480 fits, the cost is within a relative 1e-7 where the
-# NRMSE is at most 0.2 and within 1e-3 elsewhere, and the parameters agree
-# within 1e-4 where cond(J^T J) <= 1e8; beyond that, on a flat valley or a
-# ridge, the two may stop at different points of nearly equal cost.
+# actual to predicted reduction. It fits the hyperbolic only. With three
+# parameters it works on the normal equations: each iteration forms J^T J
+# and J^T f once, and each step solves (J^T J + par D^2) p = -J^T f.
+# Against MINPACK itself, on the tests' corpus of 120 hyperbolic fits, the
+# cost is within a relative 1e-7 where the NRMSE is at most 0.2 and within
+# 1e-3 elsewhere, and the parameters agree within 1e-4 where
+# cond(J^T J) <= 1e8; beyond that, on a flat valley or a ridge, the two may
+# stop at different points of nearly equal cost.
 # Plain norms cannot overflow: ``_natural`` clips every coordinate to
 # |t| <= 50, so no rate, residual or Jacobian entry exceeds about 1e30.
 
 _LM_TOL = 1e-8
 _LM_FACTOR = 100.0
+_LM_BUDGET = 6000  # residual evaluations, 2000 per hyperbolic parameter
 _EPS = float(np.finfo(float).eps)
 _DWARF = float(np.finfo(float).tiny)
 
@@ -514,6 +600,12 @@ def _lmpar(jtj: np.ndarray, g: np.ndarray, diag: np.ndarray, delta: float, par: 
     return par, step
 
 
+def _hyperbolic_start(y: np.ndarray) -> np.ndarray:
+    """LM's start for the hyperbolic: a at the largest window mean, b = 1/2,
+    c = 0.01."""
+    return np.array([math.log(float(y.max())), 0.0, math.log(0.01)])
+
+
 def _levenberg_marquardt(residual, jacobian, t0: np.ndarray, max_nfev: int):
     """Minimize |residual(t)|^2 from t0 (More's method, see above).
 
@@ -583,17 +675,21 @@ def _levenberg_marquardt(residual, jacobian, t0: np.ndarray, max_nfev: int):
 
 
 def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCurve:
-    """Fit one rate family to windowed observations by damped least squares:
-    More's Levenberg-Marquardt method with analytic Jacobians, in lmder's
-    mode-1 settings. It agrees with MINPACK's lmder within the corpus
+    """Fit one rate family to windowed observations by least squares.
+
+    ap_prior takes its scale in closed form; the exponential and the
+    power law take the global minimum of their profiled error over the
+    clip range (``_scan_decline``); the hyperbolic runs More's
+    Levenberg-Marquardt method with analytic Jacobians, in lmder's mode-1
+    settings, which agrees with MINPACK's lmder within the corpus
     tolerances stated above, not bit for bit.
 
     Returns the fitted curve with per-parameter variance estimates taken
-    from the diagonal of the residual-scaled inverse approximate Hessian.
-    A singular Hessian (or zero residual degrees of freedom) yields
-    infinite sentinel variances rather than a fabricated small value.
-    Raises FitFailureError when the fit does not converge within 2000
-    residual evaluations per parameter.
+    from the diagonal of the residual-scaled inverse approximate Hessian
+    at the solution. A singular Hessian (or zero residual degrees of
+    freedom) yields infinite sentinel variances rather than a fabricated
+    small value. Raises FitFailureError when a hyperbolic fit does not
+    converge within 6000 residual evaluations.
     """
     m = len(points)
     if m < 3:
@@ -601,13 +697,14 @@ def fit_rate(points: WindowedEstimates, kind: RateKind, n_total: int) -> RateCur
     if not np.any(points.y > 0):
         raise DegenerateDataError("all window means are zero; nothing to fit")
 
-    residual, jacobian, t0 = _fit_problem(points, kind, n_total)
-    t, fvec = _levenberg_marquardt(residual, jacobian, t0, 2000 * t0.size)
+    residual, jacobian = _fit_problem(points, kind, n_total)
+    t = np.array(kind.family.solve(points.x, points.y, n_total, residual, jacobian))
+    fvec = residual(t)
 
     nat = _natural(kind, t)
     params = RateParams.from_values(kind, nat, n_total)
 
-    n_params = t0.size
+    n_params = t.size
     dof = m - n_params
     variances: np.ndarray
     if dof <= 0:

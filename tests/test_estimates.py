@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,25 @@ class TestLogFactorials:
         assert estimates._log_factorials.size == 2 * have
         assert np.array_equal(large[:100], small)
         assert not large.flags.writeable
+
+    def test_growing_holds_little_more_than_the_table(self):
+        # the table is module state, so it is grown in a fresh process; a
+        # Python list of the new entries peaked at 5 times the table
+        code = (
+            "import math, tracemalloc\n"
+            "from tarstop.estimates import log_factorials\n"
+            "tracemalloc.start()\n"
+            "table = log_factorials(2**20)\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "assert all(v == math.lgamma(k + 1) for k, v in enumerate(table.tolist()))\n"
+            "print(peak / table.nbytes)\n"
+        )
+        src = Path(estimates.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert float(out.stdout) < 2.5
 
 
 class TestPoissonQuantile:
