@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import RankedTopic
 from .errors import ConfigError, is_integer
-from .stopping import BatchSchedule, StoppingConfig, StoppingOutcome, checkpoints
+from .stopping import BatchSchedule, StoppingConfig, StoppingOutcome, checkpoints, relevant_needed
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def oracle_stop(topic: RankedTopic, target_recall: float) -> StoppingOutcome:
     total = topic.total_relevant
     if total == 0:
         return StoppingOutcome("oracle", topic.topic_id, 1, 1, 0, hit_end=False)
-    needed = math.ceil(target_recall * total)
+    needed = relevant_needed(target_recall, total)
     relevant_ranks = np.flatnonzero(topic.labels) + 1
     k = int(relevant_ranks[needed - 1])
     return StoppingOutcome("oracle", topic.topic_id, k, k, needed, hit_end=False)

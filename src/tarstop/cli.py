@@ -91,8 +91,6 @@ def _add_screening_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--batch", choices=BATCH_NAMES, default="uniform")
     g.add_argument("--window", type=int, default=25,
                    help="ranks per estimation window (default 25)")
-    g.add_argument("--cox-grid", type=int, default=9,
-                   help="grid points per parameter for the cox mixture")
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
@@ -131,7 +129,6 @@ def _config_from_args(args: argparse.Namespace, **policy) -> stopping.StoppingCo
         beta=args.beta,
         batch_schedule=BATCH_NAMES[args.batch],
         window_size=args.window,
-        cox_grid=args.cox_grid,
         **policy,
     )
 

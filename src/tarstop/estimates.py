@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, ValidationError, is_integer
+from .errors import DegenerateDistributionError, is_integer
 from .rates import _BLOCK_ELEMENTS, RateCurve, rate_integral
 
 
@@ -183,26 +183,33 @@ def poisson_quantile(mean: float, p: float) -> int:
     return _mixture_quantile(np.array([mean]), np.array([1.0]), p)
 
 
+def _finite_mass(mass: float) -> float:
+    """The mass, unless it overflowed: then DegenerateDistributionError."""
+    if not math.isfinite(mass):
+        raise DegenerateDistributionError(f"the curve's mass over the interval is {mass}")
+    return mass
+
+
 def estimate_remaining_ip(
     curve: RateCurve, i: int, j: int, p: float
 ) -> RemainingEstimate:
-    """Fixed-mean Poisson estimate for the relevant-count in ranks [i, j]."""
-    mass = rate_integral(curve.params, i, j)
+    """Fixed-mean Poisson estimate for the relevant-count in ranks [i, j].
+
+    Raises DegenerateDistributionError when the curve's mass there
+    overflows to infinity.
+    """
+    _check_confidence(p)
+    mass = _finite_mass(rate_integral(curve.params, i, j))
     return RemainingEstimate((i, j), mass, poisson_quantile(mass, p), p)
 
 
-# Largest Cox grid: a three-parameter grid of 161**3 points stays within the
-# 2**22 elements the count estimator allows its arrays.
-MAX_COX_GRID = 161
+# Points per parameter of the Cox grid, and their Simpson weights
+_GRID = 9
+_SIMPSON = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0])
 
 
-def _param_grids(
-    curve: RateCurve, grid: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _param_grids(curve: RateCurve) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-parameter grid points and Simpson-times-density weights."""
-    simpson = np.ones(grid)
-    simpson[1:-1:2] = 4.0
-    simpson[2:-1:2] = 2.0
     axes = []
     weights = []
     for mu, var in zip(curve.params.values(), curve.param_variance):
@@ -211,28 +218,27 @@ def _param_grids(
             weights.append(np.array([1.0]))
             continue
         sd = math.sqrt(var)
-        pts = np.linspace(mu - 3.0 * sd, mu + 3.0 * sd, grid)
+        pts = np.linspace(mu - 3.0 * sd, mu + 3.0 * sd, _GRID)
         density = np.exp(-0.5 * ((pts - mu) / sd) ** 2)
         axes.append(pts)
-        weights.append(simpson * density)
+        weights.append(_SIMPSON * density)
     return axes, weights
 
 
 def estimate_remaining_cox(
-    curve: RateCurve, i: int, j: int, p: float, grid: int = 9
+    curve: RateCurve, i: int, j: int, p: float
 ) -> RemainingEstimate:
     """Parameter-uncertainty mixture estimate for the count in ranks [i, j].
 
+    Each parameter with a positive variance takes 9 points across its
+    mean plus or minus three standard deviations, Simpson-weighted.
     Falls back to the fixed-mean estimate (flagged) when any parameter
     variance is non-finite, i.e. the fit could not support an
     uncertainty model. Zero variances reproduce the fixed-mean result
     exactly. A confidence outside (0, 1) or a bad interval raises
-    ValueError before any grid work.
+    ValueError before any grid work; a mass that overflows to infinity
+    raises DegenerateDistributionError.
     """
-    if not (is_integer(grid) and 3 <= grid <= MAX_COX_GRID and grid % 2 == 1):
-        raise ValidationError(
-            f"grid must be an odd integer in [3, {MAX_COX_GRID}], got {grid}"
-        )
     _check_confidence(p)
     params = curve.params
     family = params.kind.family
@@ -245,7 +251,7 @@ def estimate_remaining_cox(
     if all(v == 0.0 for v in variances):
         return estimate_remaining_ip(curve, i, j, p)
 
-    axes, axis_weights = _param_grids(curve, grid)
+    axes, axis_weights = _param_grids(curve)
     # one column per grid point, in row-major order: the order of the weight sum
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     weights = functools.reduce(np.multiply.outer, axis_weights).ravel()
@@ -270,7 +276,8 @@ def estimate_remaining_cox(
             family.area(i, j, params.n_total, *shape) if kept else 0.0
             for shape, kept in zip(shapes, valid.any(axis=0).tolist())
         ]
-        masses = np.multiply.outer(a_axis, unit)
+        with np.errstate(over="ignore"):  # an overflowed mass is refused below
+            masses = np.multiply.outer(a_axis, unit)
     masses = masses[valid]  # row-major, the order of the weights
-    mean_mass = float(weights @ masses)
+    mean_mass = _finite_mass(float(weights @ masses))
     return RemainingEstimate((i, j), mean_mass, _mixture_quantile(masses, weights, p), p)

@@ -34,7 +34,6 @@ import numpy as np
 from .corpus import RankedTopic
 from .errors import ConfigError, TarStopError, is_integer
 from .estimates import (
-    MAX_COX_GRID,
     ProcessKind,
     RemainingEstimate,
     estimate_remaining_cox,
@@ -96,7 +95,6 @@ class StoppingConfig:
     min_rel_rule: MinRelRule = field(default_factory=DynamicMinRel)
     window_size: int = 25
     batch_schedule: BatchSchedule = BatchSchedule.UNIFORM_FRACTION
-    cox_grid: int = 9
 
     def __post_init__(self):
         if not 0.0 < self.target_recall <= 1.0:
@@ -113,12 +111,6 @@ class StoppingConfig:
             raise ConfigError(f"window_size must be an integer, got {self.window_size!r}")
         if self.window_size < 1:
             raise ConfigError(f"window_size must be >= 1, got {self.window_size}")
-        grid = self.cox_grid
-        if not (is_integer(grid) and 3 <= grid <= MAX_COX_GRID and grid % 2 == 1):
-            raise ConfigError(
-                f"cox_grid must be an odd integer in [3, {MAX_COX_GRID}], "
-                f"got {grid}"
-            )
 
 
 @dataclass(frozen=True)
@@ -180,12 +172,18 @@ def checkpoints(n: int, config: StoppingConfig) -> list[int]:
     return points
 
 
+def relevant_needed(target_recall: float, total: float) -> int:
+    """Fewest relevant documents that reach the target share of a total:
+    ceil(target * total), with the product's float noise snapped away."""
+    return math.ceil(_snap(target_recall * total))
+
+
 def stop_decision(rel_found: int, total_estimate: float, target_recall: float) -> bool:
     """Has screening found the target share of the estimated total?
 
-    The rule is found >= ceil(target * estimate).
+    The rule is found >= ``relevant_needed(target, estimate)``.
     """
-    return rel_found >= math.ceil(_snap(target_recall * total_estimate))
+    return rel_found >= relevant_needed(target_recall, total_estimate)
 
 
 def fit_at(topic: RankedTopic, config: StoppingConfig, k: int) -> RateCurve | TarStopError:
@@ -313,9 +311,7 @@ def _evaluate_checkpoint(
 
     try:
         if config.process is ProcessKind.COX:
-            estimate = estimate_remaining_cox(
-                curve, k + 1, topic.n, config.confidence, config.cox_grid
-            )
+            estimate = estimate_remaining_cox(curve, k + 1, topic.n, config.confidence)
         else:
             estimate = estimate_remaining_ip(curve, k + 1, topic.n, config.confidence)
     except TarStopError:

@@ -175,7 +175,7 @@ def test_criterion_5_mixture_consistency():
     )
 
     uncertain = ts.RateCurve(params, (1e-4, 1e-8), 0.0, 20)
-    mix = ts.estimate_remaining_cox(uncertain, 100, 1000, 0.95, grid=9)
+    mix = ts.estimate_remaining_cox(uncertain, 100, 1000, 0.95)
     rng = np.random.default_rng(505)
     masses = []
     while len(masses) < 100_000:

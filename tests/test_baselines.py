@@ -49,13 +49,16 @@ class TestOracle:
 
     def test_minimality(self, rng):
         # no earlier rank reaches the target on the same ranking
-        for _ in range(25):
-            n = int(rng.integers(20, 400))
-            labels = rng.random(n) < 0.1
+        cases = [(rng.random(int(rng.integers(20, 400))) < 0.1, float(rng.uniform(0.3, 1.0)))
+                 for _ in range(25)]
+        # targets whose product with the total misses an integer by float
+        # noise: 0.28 * 25 is 7.000000000000001, yet 7 relevant reach 0.28
+        for level, total in ((0.28, 25), (0.55, 100), (0.56, 25)):
+            cases.append((np.arange(2 * total) % 2 == 0, level))
+        for labels, level in cases:
             if not labels.any():
                 continue
             topic = topic_from_labels(labels)
-            level = float(rng.uniform(0.3, 1.0))
             out = oracle_stop(topic, level)
             total = topic.total_relevant
             assert out.rel_found / total >= level

@@ -134,15 +134,6 @@ class TestStopCommand:
         assert main(["stop", *flags(run, qrels), "--target-recall", "1.5"]) == 2
         assert "target_recall" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["8", "1", "163"])
-    def test_cox_grid_out_of_range_exit_2(self, fixture_files, capsys, grid):
-        # an estimator error at every checkpoint used to be recorded as a
-        # failed fit, so the command screened everything and exited 0
-        run, qrels = fixture_files
-        assert main(["stop", *flags(run, qrels), "--process", "cox",
-                     "--cox-grid", grid]) == 2
-        assert "cox_grid" in capsys.readouterr().err
-
     def test_parse_error_exit_3(self, tmp_path, fixture_files, capsys):
         run, qrels = fixture_files
         bad = tmp_path / "bad.txt"
@@ -849,7 +840,7 @@ class TestFlagSurface:
     """Each subcommand takes only the flags it reads."""
 
     IO = {"-h", "--help", "--format", "--output", "--jobs"}
-    SCREENING = {"--alpha", "--beta", "--batch", "--window", "--cox-grid"}
+    SCREENING = {"--alpha", "--beta", "--batch", "--window"}
     POLICY = {"--target-recall", "--confidence", "--rate", "--nrmse-threshold", "--min-rel"}
     INPUTS = {"--run", "--qrels"}
     AXES = {"--processes", "--rates", "--nrmse-thresholds", "--min-rel-rules",
@@ -875,7 +866,7 @@ class TestFlagSurface:
             options = {o for action in sub._actions for o in action.option_strings}
             assert options == self.EXPECTED[name], name
         slots = sum(len(sub._actions) - 1 for sub in subparsers.values())  # bar --help
-        assert slots == 77
+        assert slots == 73
 
     @pytest.mark.parametrize("command, flag, value", [
         # the method names set the process, so the flag would be ignored
@@ -893,6 +884,17 @@ class TestFlagSurface:
             main([command, *inputs, flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stop", "compare", "sweep", "simulate"])
+    def test_cox_grid_is_not_a_flag(self, command, fixture_files, spec_file, capsys):
+        # the Cox mixture's grid is fixed at nine points a parameter
+        run, qrels = fixture_files
+        inputs = (["--spec", str(spec_file)] if command == "simulate"
+                  else ["--run", str(run), "--qrels", str(qrels)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--cox-grid", "9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cox-grid 9" in capsys.readouterr().err
 
     def test_sweep_reads_a_singular_spelling_as_its_axis(self, fixture_files, tmp_path):
         # argparse's prefix matching: --rate means --rates once --rate is gone

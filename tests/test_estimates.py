@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
-from tarstop.errors import DegenerateDistributionError, ValidationError
+from tarstop.errors import DegenerateDistributionError
 from tarstop import estimates
 from tarstop.estimates import (
     _BLOCK_ELEMENTS,
@@ -233,7 +233,7 @@ class TestEstimateRemainingCox:
     def test_mixture_mean_matches_monte_carlo(self):
         # spec'd fixture: exponential (0.5, -0.01), variances (1e-4, 1e-8)
         curve = make_curve(RateKind.EXPONENTIAL, (1e-4, 1e-8), a=0.5, b=-0.01)
-        est = estimate_remaining_cox(curve, 100, 1000, 0.95, grid=9)
+        est = estimate_remaining_cox(curve, 100, 1000, 0.95)
         draws = np.random.default_rng(424242)
         masses = []
         while len(masses) < 100000:
@@ -284,20 +284,19 @@ class TestEstimateRemainingCox:
         # CDF is monotone by construction; upper bound lies below the cap
         assert 0 <= est.upper_bound <= cap
 
-    def test_grid_must_be_odd(self):
-        curve = make_curve(RateKind.EXPONENTIAL, (1e-4, 1e-8), a=0.5, b=-0.01)
-        with pytest.raises(ValidationError):
-            estimate_remaining_cox(curve, 1, 100, 0.95, grid=8)
-        with pytest.raises(ValidationError):
-            estimate_remaining_cox(curve, 1, 100, 0.95, grid=1)
-        # past the memory bound StoppingConfig.cox_grid shares
-        with pytest.raises(ValidationError):
-            estimate_remaining_cox(curve, 1, 100, 0.95, grid=163)
-        # an odd count of the wrong type, which numpy refused with a TypeError
-        with pytest.raises(ValidationError, match="odd integer"):
-            estimate_remaining_cox(curve, 1, 100, 0.95, grid=9.0)
-        nine = estimate_remaining_cox(curve, 1, 100, 0.95, grid=9)
-        assert estimate_remaining_cox(curve, 1, 100, 0.95, grid=np.int64(9)) == nine
+    def test_grid_is_nine_simpson_points(self):
+        # a positive variance: nine points over the mean -+ 3 sd, weighted by
+        # Simpson's rule times the normal density; a zero variance: the mean
+        curve = make_curve(RateKind.EXPONENTIAL, (0.0, 0.0625), a=0.5, b=-0.75)
+        axes, weights = estimates._param_grids(curve)
+        assert axes[0].tolist() == [0.5] and weights[0].tolist() == [1.0]
+        assert axes[1].tolist() == np.linspace(-1.5, 0.0, 9).tolist()
+        density = np.exp(-0.5 * ((axes[1] + 0.75) / 0.25) ** 2)
+        assert weights[1].tolist() == ([1, 4, 2, 4, 2, 4, 2, 4, 1] * density).tolist()
+        # composite Simpson is exact on a cubic: the integral of x**3 over [0, 8]
+        assert estimates._SIMPSON @ np.arange(9.0) ** 3 / 3 == 8.0 ** 4 / 4
+        with pytest.raises(TypeError, match="grid"):
+            estimate_remaining_cox(curve, 1, 100, 0.95, grid=9)
 
     def test_all_grid_points_invalid(self):
         # b centred far above zero with tiny spread: every point violates b <= 0
@@ -400,9 +399,9 @@ def _reference_quantile(masses, weights, p):
         cap *= 2
 
 
-def _reference_cox(curve, i, j, p, grid=9):
+def _reference_cox(curve, i, j, p):
     """(mixture mean, upper bound) summing one pmf row per grid point."""
-    masses, weights = _mixture_components(curve, i, j, grid)
+    masses, weights = _mixture_components(curve, i, j)
     return float(weights @ masses), _reference_quantile(masses, weights, p)
 
 
@@ -432,9 +431,9 @@ class TestCoxMatchesPerPointReference:
     numbers, not approximately equal ones."""
 
     @staticmethod
-    def assert_exact(curve, i, j, p=0.95, grid=9):
-        est = estimate_remaining_cox(curve, i, j, p, grid)
-        mean, upper = _reference_cox(curve, i, j, p, grid)
+    def assert_exact(curve, i, j, p=0.95):
+        est = estimate_remaining_cox(curve, i, j, p)
+        mean, upper = _reference_cox(curve, i, j, p)
         assert est.lambda_mass == mean
         assert est.upper_bound == upper
         assert not est.fallback
@@ -461,9 +460,10 @@ class TestCoxMatchesPerPointReference:
         assert (est.lambda_mass, est.upper_bound) == (0.0, 0)
         self.assert_exact(curve, 500, 500)
 
-    def test_finer_grid(self, rng):
+    def test_hyperbolic_full_grid(self, rng):
+        # every variance positive: 9**3 points
         curve = _random_cox_curve(rng, RateKind.HYPERBOLIC, 2000)
-        self.assert_exact(curve, 100, 2000, grid=15)
+        self.assert_exact(curve, 100, 2000)
 
 
 class TestCoxGridBounds:
@@ -492,8 +492,9 @@ class TestCoxGridBounds:
         assert True in got and False in got
 
     @pytest.mark.parametrize("kind, values, bounds", [
-        # mean 0.75 and sd 0.25 put a three-point axis at 0, 0.75 and 1.5;
-        # mean -0.75 at -1.5, -0.75 and 0; mean 0.25 at -0.5, 0.25 and 1
+        # sd 0.25 spans each nine-point axis over mean -+ 0.75, and linspace
+        # hits its ends exactly: mean 0.75 from 0 to 1.5, mean -0.75 from
+        # -1.5 to 0, mean 0.25 from -0.5 to 1
         (RateKind.EXPONENTIAL, {"a": 0.75, "b": -0.75}, (0.0, 0.0)),
         (RateKind.POWER_LAW, {"a": 0.75, "b": -0.75}, (0.0, 0.0)),
         (RateKind.HYPERBOLIC, {"a": 0.75, "b": 0.75, "c": 0.75}, (0.0, 0.0, 0.0)),
@@ -503,8 +504,8 @@ class TestCoxGridBounds:
     def test_estimate_at_bounds(self, kind, values, bounds):
         curve = make_curve(kind, (0.0625,) * len(bounds), **values)
         for mu, bound in zip(curve.params.values(), bounds):
-            assert bound in np.linspace(mu - 0.75, mu + 0.75, 3).tolist()
-        TestCoxMatchesPerPointReference.assert_exact(curve, 10, 600, grid=3)
+            assert bound in np.linspace(mu - 0.75, mu + 0.75, 9).tolist()
+        TestCoxMatchesPerPointReference.assert_exact(curve, 10, 600)
 
 
 class TestMixtureBlocks:
@@ -605,6 +606,14 @@ class TestMemoryBound:
         assert _summation_cap(float(weights @ masses)) < 1000
         peak = self.peak_bytes(lambda: _mixture_quantile(masses, weights, 0.95))
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("estimate", [estimate_remaining_ip, estimate_remaining_cox])
+    def test_overflowing_mass_raises_without_warning(self, estimate):
+        # a * area overflows to inf, at the mean and at the grid's points;
+        # warnings are errors here, so an overflow warning fails the test
+        curve = make_curve(RateKind.EXPONENTIAL, (1e300, 1e-40), a=1e305, b=-1e-13)
+        with pytest.raises(DegenerateDistributionError, match="mass"):
+            estimate(curve, 1, 10**7, 0.95)
 
     def test_mean_below_the_cap_still_served(self):
         mean = 3.5e6

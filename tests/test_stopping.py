@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tarstop import stopping
 from tarstop.corpus import RankedTopic, SyntheticSpec, generate_synthetic
 from tarstop.errors import ConfigError, FitFailureError, TarStopError
 from tarstop.estimates import ProcessKind
-from tarstop.rates import RateKind, fit_rate, window_estimates
+from tarstop.rates import RateCurve, RateKind, RateParams, fit_rate, window_estimates
 from tarstop.stopping import (
     BatchSchedule,
     DynamicMinRel,
@@ -22,6 +23,7 @@ from tarstop.stopping import (
     StaticMinRel,
     StoppingConfig,
     checkpoints,
+    relevant_needed,
     run_stopping,
     stop_decision,
 )
@@ -64,25 +66,20 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             StaticMinRel(0)
 
-    @pytest.mark.parametrize("grid", [1, 2, 8, 163, 165])
-    def test_cox_grid_must_be_odd_within_budget(self, grid):
-        with pytest.raises(ConfigError):
-            StoppingConfig(cox_grid=grid)
-
     @pytest.mark.parametrize("fields, message", [
         # window 25.0 raised a TypeError at the first fit
         ({"window_size": 25.0}, "window_size must be an integer, got 25.0"),
         ({"window_size": True}, "window_size must be an integer, got True"),
-        ({"cox_grid": 9.0}, "cox_grid must be an odd integer in [3, 161], got 9.0"),
     ])
     def test_integer_fields(self, fields, message):
         with pytest.raises(ConfigError) as err:
             StoppingConfig(**fields)
         assert str(err.value) == message
 
-    def test_cox_grid_range_ends_accepted(self):
-        assert StoppingConfig(cox_grid=3).cox_grid == 3
-        assert StoppingConfig(cox_grid=161).cox_grid == 161
+    def test_cox_grid_is_not_a_field(self):
+        # the Cox mixture's grid is fixed at nine points a parameter
+        with pytest.raises(TypeError, match="cox_grid"):
+            StoppingConfig(cox_grid=9)
 
 
 class TestCheckpoints:
@@ -171,6 +168,22 @@ class TestGates:
             assert stopping.fit_at(topic, cfg, t.k).nrmse > cfg.nrmse_threshold
         assert out.hit_end
 
+    @pytest.mark.parametrize("process", list(ProcessKind))
+    def test_overflowing_mass_reported_as_fit_failure(self, monkeypatch, process):
+        # a curve whose mass over the unscreened ranks overflows to inf
+        curve = RateCurve(
+            RateParams(RateKind.EXPONENTIAL, a=1e308, b=-1e-13), (1e300, 1e-40),
+            nrmse=0.0, points_used=20,
+        )
+        monkeypatch.setattr(stopping, "fit_at", lambda topic, config, k: curve)
+        cfg = StoppingConfig(
+            process=process, rate_kind=RateKind.EXPONENTIAL,
+            min_rel_rule=StaticMinRel(1), nrmse_threshold=1e9,
+        )
+        out = run_stopping(exp_topic(seed=5, n=1000), cfg)
+        assert out.hit_end and out.traces
+        assert all(t.gate is Gate.FIT_FAILED and t.curve is curve for t in out.traces)
+
     def test_estimate_present_iff_evaluated(self):
         topic = exp_topic(seed=3)
         out = run_stopping(topic, StoppingConfig(rate_kind=RateKind.EXPONENTIAL))
@@ -224,6 +237,17 @@ class TestStopRule:
                 assert stop_decision(exact_required, float(total), level)
                 if exact_required > 0:
                     assert not stop_decision(exact_required - 1, float(total), level)
+
+    @pytest.mark.parametrize("level, total, needed", [
+        # products that miss an integer only by float noise
+        (0.28, 25, 7), (0.55, 100, 55), (0.56, 25, 14), (0.07, 100, 7),
+        # products that are not integers, and the whole total
+        (0.5, 3, 2), (1.0, 7, 7),
+    ])
+    def test_relevant_needed_is_the_exact_ceiling(self, level, total, needed):
+        assert needed == math.ceil(Fraction(str(level)) * total)
+        assert relevant_needed(level, total) == needed
+        assert relevant_needed(level, float(total)) == needed
 
     def test_confidence_never_hastens_stop(self):
         topic = exp_topic(seed=21)
