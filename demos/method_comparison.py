@@ -43,7 +43,7 @@ def run_all(topics):
         ts.target_stop(t, ts.TargetConfig(target_size=size, seed=BASE_SEED + i))
         for i, t in enumerate(topics)
     ]
-    results["knee"] = [ts.knee_stop(t, ts.KneeConfig()) for t in topics]
+    results["knee"] = [ts.knee_stop(t, ts.KneeConfig(), config) for t in topics]
     return results
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import RankedTopic
 from .errors import ConfigError, is_integer
-from .stopping import BatchSchedule, StoppingConfig, StoppingOutcome, checkpoints, relevant_needed
+from .stopping import StoppingConfig, StoppingOutcome, checkpoints, relevant_needed
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,9 @@ class TargetConfig:
 
 @dataclass(frozen=True)
 class KneeConfig:
-    """Gain-curve knee stop; checkpoints follow the screening schedule."""
+    """Knee stop's slope-ratio threshold; its checkpoints come from ``knee_stop``'s screening."""
 
     rho_threshold: float = 6.0
-    alpha: float = 0.025
-    beta: float = 0.025
-    batch_schedule: BatchSchedule = BatchSchedule.UNIFORM_FRACTION
 
     def __post_init__(self):
         if not self.rho_threshold > 0:
@@ -120,19 +117,19 @@ def _knee_candidate(gain: np.ndarray) -> int:
     return int(np.argmax(dist)) + 1
 
 
-def knee_stop(topic: RankedTopic, config: KneeConfig) -> StoppingOutcome:
+def knee_stop(
+    topic: RankedTopic, config: KneeConfig, screening: StoppingConfig = StoppingConfig()
+) -> StoppingOutcome:
     """Stop when the gain curve's slope ratio at the detected knee is steep.
 
-    At each checkpoint the cumulative-relevant curve over the screened
+    At each checkpoint of ``screening``'s schedule, where the point-process
+    rule checks too, the cumulative-relevant curve over the screened
     prefix is scanned for the point farthest from its chord; the ratio of
     the slope before that point to the (smoothed) slope after it must
     reach the configured threshold. A flat curve never triggers a stop.
     """
-    schedule = StoppingConfig(
-        alpha=config.alpha, beta=config.beta, batch_schedule=config.batch_schedule
-    )
     gain_full = np.cumsum(topic.labels.astype(int))
-    for k in checkpoints(topic.n, schedule):
+    for k in checkpoints(topic.n, screening):
         if k < 3:
             continue
         gain = gain_full[:k]

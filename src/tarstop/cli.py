@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
+from dataclasses import replace
 from pathlib import Path
 
 from . import baselines, corpus, metrics, stopping
@@ -122,6 +123,19 @@ def _add_io_flags(parser: argparse.ArgumentParser, seed: bool = False) -> None:
                                  f"(default {DEFAULT_SEED})")
 
 
+def _add_method_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of a subcommand that compares methods, after its inputs."""
+    parser.add_argument("--methods", default="ip,oracle",
+                        help=f"comma list of {', '.join(COMPARE_METHODS)}")
+    parser.add_argument("--target-size", type=int, default=10,
+                        help="sample size for the plain target method")
+    parser.add_argument("--rho", type=float, default=6.0,
+                        help="knee slope-ratio threshold")
+    _add_screening_flags(parser)
+    _add_policy_flags(parser)
+    _add_io_flags(parser, seed=True)
+
+
 def _config_from_args(args: argparse.Namespace, **policy) -> stopping.StoppingConfig:
     """The config of the screening flags and the given policy fields."""
     return stopping.StoppingConfig(
@@ -133,11 +147,10 @@ def _config_from_args(args: argparse.Namespace, **policy) -> stopping.StoppingCo
     )
 
 
-def _policy_config(args: argparse.Namespace, process: str) -> stopping.StoppingConfig:
-    """The config of the screening and policy flags, with ``process``."""
+def _policy_config(args: argparse.Namespace) -> stopping.StoppingConfig:
+    """The config of the screening and policy flags, with the default process."""
     return _config_from_args(
         args,
-        process=PROCESS_NAMES[process],
         target_recall=args.target_recall,
         confidence=args.confidence,
         rate_kind=RATE_NAMES[args.rate],
@@ -386,21 +399,21 @@ def _run_method(
     method: str,
     topic: corpus.RankedTopic,
     args: argparse.Namespace,
-    knee: baselines.KneeConfig,
+    config: stopping.StoppingConfig,
 ) -> stopping.StoppingOutcome:
     if method in ("ip", "cox"):
-        return stopping.run_stopping(topic, _policy_config(args, method))
+        return stopping.run_stopping(topic, replace(config, process=PROCESS_NAMES[method]))
     if method == "oracle":
-        return baselines.oracle_stop(topic, args.target_recall)
+        return baselines.oracle_stop(topic, config.target_recall)
     if method in ("target", "target-adapted"):
         size = args.target_size
         if method == "target-adapted":  # the formula diverges at recall 1: use 0.99
-            size = baselines.adapted_target_size(min(args.target_recall, 0.99), args.confidence)
+            size = baselines.adapted_target_size(min(config.target_recall, 0.99), config.confidence)
         seed = _topic_seed(args.seed, topic.topic_id, method)
         tc = baselines.TargetConfig(target_size=size, seed=seed)
         return baselines.target_stop(topic, tc, method=method)
-    if method == "knee":
-        return baselines.knee_stop(topic, knee)
+    if method == "knee":  # on the checkpoints of config's schedule
+        return baselines.knee_stop(topic, baselines.KneeConfig(rho_threshold=args.rho), config)
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -417,23 +430,23 @@ def _parse_methods(raw: str) -> list[str]:
     return names
 
 
+def _compare_config(args: argparse.Namespace) -> stopping.StoppingConfig:
+    """The one config every compared method reads, once every flag is checked."""
+    config = _policy_config(args)
+    baselines.TargetConfig(target_size=args.target_size, seed=0)  # seeds are per topic
+    baselines.KneeConfig(rho_threshold=args.rho)
+    return config
+
+
 def _compare_over_topics(
     topics: list[corpus.RankedTopic],
     methods: list[str],
     args: argparse.Namespace,
+    config: stopping.StoppingConfig,
 ) -> tuple[list[dict], list[dict]]:
     """Per-topic metric rows and aggregate rows, sorted."""
-    # every config flag is checked, whichever method reads it
-    _policy_config(args, "ip")
-    baselines.TargetConfig(target_size=args.target_size, seed=0)  # seeds are per topic
-    knee = baselines.KneeConfig(
-        rho_threshold=args.rho,
-        alpha=args.alpha,
-        beta=args.beta,
-        batch_schedule=BATCH_NAMES[args.batch],
-    )
     return _metric_rows([
-        metrics.topic_metrics(_run_method(method, topic, args, knee), topic, args.target_recall)
+        metrics.topic_metrics(_run_method(method, topic, args, config), topic, config.target_recall)
         for topic in topics
         for method in methods
     ])
@@ -476,7 +489,7 @@ def _write_metrics_outputs(
 
 def _cmd_stop(args: argparse.Namespace) -> int:
     topics = _load_topics(args.run, args.qrels)
-    config = _policy_config(args, args.process)
+    config = replace(_policy_config(args), process=PROCESS_NAMES[args.process])
     outcomes = [stopping.run_stopping(topic, config) for topic in topics]  # by topic id
     as_json = args.format == "json"
     records = [_outcome_record(outcome) for outcome in outcomes]
@@ -579,7 +592,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if "oracle" not in methods:  # the oracle anchors every comparison
         methods.append("oracle")
     topics = _load_topics(args.run, args.qrels)
-    topic_rows, agg_rows = _compare_over_topics(topics, methods, args)
+    topic_rows, agg_rows = _compare_over_topics(topics, methods, args, _compare_config(args))
     _write_metrics_outputs(args, topic_rows, agg_rows)
     return 0
 
@@ -698,16 +711,17 @@ def _load_specs(path: Path) -> list[corpus.SyntheticSpec]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     methods = _parse_methods(args.methods)
     specs = _load_specs(args.spec)
-    topics = [corpus.generate_synthetic(spec) for spec in specs]
     seen = set()
-    for topic in topics:  # rows and effectiveness are keyed by topic id
-        if topic.topic_id in seen:
+    for spec in specs:  # rows and effectiveness are keyed by topic id
+        if spec.topic_id in seen:
             raise ValidationError(
-                f"{args.spec}: topic id {topic.topic_id!r} names more than one spec"
+                f"{args.spec}: topic id {spec.topic_id!r} names more than one spec"
             )
-        seen.add(topic.topic_id)
+        seen.add(spec.topic_id)
+    config = _compare_config(args)  # checked before any topic is generated
+    topics = [corpus.generate_synthetic(spec) for spec in specs]
     effectiveness = {t.topic_id: metrics.ranking_effectiveness(t) for t in topics}
-    topic_rows, agg_rows = _compare_over_topics(topics, methods, args)
+    topic_rows, agg_rows = _compare_over_topics(topics, methods, args, config)
     for row in topic_rows:
         row["norm_area"] = effectiveness[row["topic"]]
     _write_metrics_outputs(args, topic_rows, agg_rows)
@@ -746,15 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare stopping methods")
     p_cmp.add_argument("--run", type=Path, required=True)
     p_cmp.add_argument("--qrels", type=Path, required=True)
-    p_cmp.add_argument("--methods", default="ip,oracle",
-                       help=f"comma list of {', '.join(COMPARE_METHODS)}")
-    p_cmp.add_argument("--target-size", type=int, default=10,
-                       help="sample size for the plain target method")
-    p_cmp.add_argument("--rho", type=float, default=6.0,
-                       help="knee slope-ratio threshold")
-    _add_screening_flags(p_cmp)
-    _add_policy_flags(p_cmp)
-    _add_io_flags(p_cmp, seed=True)
+    _add_method_flags(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="grid-search stopping configurations")
@@ -772,12 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="compare methods on synthetic topics")
     p_sim.add_argument("--spec", type=Path, required=True,
                        help="JSON spec file (list of {topic_id, n, kind, params, seed, noise})")
-    p_sim.add_argument("--methods", default="ip,oracle")
-    p_sim.add_argument("--target-size", type=int, default=10)
-    p_sim.add_argument("--rho", type=float, default=6.0)
-    _add_screening_flags(p_sim)
-    _add_policy_flags(p_sim)
-    _add_io_flags(p_sim, seed=True)
+    _add_method_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     return parser

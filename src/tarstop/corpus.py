@@ -101,6 +101,7 @@ class SyntheticSpec:
     ``noise`` flips each label independently with the given probability.
     ``n`` must lie in [1, MAX_SYNTHETIC_N]. Types are checked first: ``n``
     and ``seed`` are integers, the params and ``noise`` numbers, kept as floats.
+    An empty ``topic_id`` becomes ``synthetic-{kind}-{seed}``.
     """
 
     n: int
@@ -150,6 +151,8 @@ class SyntheticSpec:
             kind = RateKind(self.kind)
             values = [params.get(key) for key in kind.family.params]
             object.__setattr__(self, "_rate", RateParams.from_values(kind, values, self.n))
+        if not self.topic_id:
+            object.__setattr__(self, "topic_id", f"synthetic-{self.kind}-{self.seed}")
 
 
 def _real(value, key: str) -> float:
@@ -394,7 +397,7 @@ def generate_synthetic(spec: SyntheticSpec) -> RankedTopic:
     Labels at rank x are independent Bernoulli(min(1, rate(x))) draws,
     then flipped with probability ``noise``. The Philox counter-based
     generator makes output identical for identical (spec, seed) across
-    platforms and thread counts.
+    platforms and thread counts. The topic takes the spec's ``topic_id``.
     """
     if spec._rate is None:
         lam = np.full(spec.n, spec.params["a"], dtype=float)
@@ -409,5 +412,4 @@ def generate_synthetic(spec: SyntheticSpec) -> RankedTopic:
     if spec.noise > 0.0:
         flips = rng.random(spec.n) < spec.noise
         labels = labels ^ flips
-    topic_id = spec.topic_id or f"synthetic-{spec.kind}-{spec.seed}"
-    return RankedTopic(topic_id, labels)
+    return RankedTopic(spec.topic_id, labels)

@@ -252,6 +252,8 @@ class RateParams:
 
     def __post_init__(self):
         self.kind.family.check(self.values(), self.n_total)
+        for key in self.kind.family.params:  # a numpy scalar's arithmetic warns on overflow
+            object.__setattr__(self, key, float(getattr(self, key)))
 
     def values(self) -> tuple[float, ...]:
         """Free parameters in canonical order (excludes the fixed n_total)."""

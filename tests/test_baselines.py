@@ -14,6 +14,7 @@ from tarstop.baselines import (
 )
 from tarstop.corpus import SyntheticSpec, generate_synthetic
 from tarstop.errors import ConfigError
+from tarstop.stopping import BatchSchedule, StoppingConfig, checkpoints
 
 from conftest import topic_from_labels
 
@@ -234,3 +235,25 @@ class TestKneeStop:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             KneeConfig(rho_threshold=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "batch_schedule"])
+    def test_schedule_is_not_a_field(self, field):
+        # the checkpoints come from the StoppingConfig given to knee_stop
+        with pytest.raises(TypeError):
+            KneeConfig(**{field: 0.05})
+
+    def test_checkpoints_follow_the_screening_schedule(self):
+        # 20 relevant, then none: at checkpoint k the ratio at the knee is
+        # (20 / 20) / (1 / (k - 20)), which reaches 6 from k = 26 on, so
+        # each schedule stops at its first checkpoint from 26
+        labels = np.zeros(500, dtype=bool)
+        labels[:20] = True
+        topic = topic_from_labels(labels)
+        for screening, stop in [
+            (StoppingConfig(), 26),  # 13, 26, ...
+            (StoppingConfig(alpha=0.05, beta=0.05), 50),  # 25, 50, ...
+            (StoppingConfig(alpha=0.05, beta=0.05, batch_schedule=BatchSchedule.AUTOTAR), 28),
+        ]:
+            assert min(k for k in checkpoints(500, screening) if k >= 26) == stop
+            assert knee_stop(topic, KneeConfig(), screening).stop_rank == stop
+        assert knee_stop(topic, KneeConfig()).stop_rank == 26  # the default schedule

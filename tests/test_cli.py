@@ -651,6 +651,28 @@ class TestCompareCommand:
             assert row["cost"] == pytest.approx(tm_cost, rel=1e-12)
 
 
+    def test_knee_screens_on_the_compare_schedule(self, fixture_files, tmp_path, capsys):
+        from tarstop import KneeConfig, knee_stop, topic_metrics
+        from tarstop.corpus import parse_qrels, parse_run
+        from tarstop.stopping import BatchSchedule, StoppingConfig
+
+        run, qrels = fixture_files
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--run", str(run), "--qrels", str(qrels), "--methods", "knee",
+                     "--batch", "autotar", "--alpha", "0.05", "--beta", "0.05",
+                     "--output", str(out)]) == 0
+        rows = [r for r in json.loads(out.read_text())["topics"] if r["method"] == "knee"]
+        screening = StoppingConfig(alpha=0.05, beta=0.05, batch_schedule=BatchSchedule.AUTOTAR)
+        topics = parse_run(run.read_text(), parse_qrels(qrels.read_text()))
+        assert len(rows) == len(topics) == 3
+        for topic, row in zip(topics, rows):
+            tm = topic_metrics(knee_stop(topic, KneeConfig(), screening), topic, 0.9)
+            assert row == {"topic": topic.topic_id, "method": "knee",
+                           **cli._metrics_record(tm)}
+        # the schedule decides: the default one stops elsewhere
+        assert [r["cost"] for r in rows] != [
+            knee_stop(topic, KneeConfig()).docs_examined / topic.n for topic in topics]
+
 class TestSeedHashing:
     """Only the target methods read a seed. Hashing it loads OpenSSL's
     libcrypto (about 3.4 MiB resident), so no other command loads it."""
@@ -918,6 +940,27 @@ class TestFlagSurface:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: tarstop {command} ")
 
+    def test_defaults_are_the_library_defaults(self, fixture_files, spec_file):
+        from tarstop import KneeConfig
+        from tarstop.stopping import StoppingConfig
+
+        parser, library = cli.build_parser(), StoppingConfig()
+        run, qrels = fixture_files
+        inputs = ["--run", str(run), "--qrels", str(qrels)]
+        for argv in (["stop", *inputs], ["compare", *inputs], ["simulate", "--spec", "s.json"]):
+            args = parser.parse_args(argv)
+            assert cli._policy_config(args) == library, argv[0]
+            if argv[0] == "stop":
+                assert cli.PROCESS_NAMES[args.process] is library.process
+            else:
+                assert args.rho == KneeConfig().rho_threshold
+        args = parser.parse_args(["evaluate", "--outcomes", "o.json", *inputs])
+        assert args.target_recall == library.target_recall
+        for flag, _, field, names, default in cli._SWEEP_AXES:
+            if flag != "--rates":  # sweep fits every family by default
+                value = float(default) if names is None else names[default]
+                assert value == getattr(library, field), flag
+
     @pytest.mark.parametrize("command, methods, flag, value, field", [
         # each was a traceback: a baseline read the value unchecked
         ("compare", "target-adapted", "--confidence", "1.5", "confidence"),
@@ -1168,16 +1211,38 @@ class TestSimulateCommand:
         assert main(["simulate", "--spec", str(path)]) == 3
         assert "invalid JSON" in capsys.readouterr().err
 
-    def test_duplicate_topic_id_exit_2(self, tmp_path, capsys):
-        # the second spec's default id collides with the first's explicit one
+    @staticmethod
+    def refuse_to_generate(monkeypatch):
+        def generate(spec):
+            raise AssertionError(f"generated {spec.topic_id!r} before the checks")
+
+        monkeypatch.setattr(cli.corpus, "generate_synthetic", generate)
+
+    def test_duplicate_topic_id_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the second spec's default id collides with the first's explicit
+        # one, which is found before any topic is generated
         path = tmp_path / "dup.json"
         path.write_text(json.dumps([
             {"topic_id": "S002", "n": 100, "kind": "uniform", "params": {"a": 0.1},
              "seed": 1},
             {"n": 100, "kind": "uniform", "params": {"a": 0.2}, "seed": 2},
         ]))
+        self.refuse_to_generate(monkeypatch)
         assert main(["simulate", "--spec", str(path)]) == 2
-        assert "'S002'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"tarstop: {path}: topic id 'S002' names more than one spec\n")
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--rho", "0", "rho_threshold"),
+        ("--target-size", "0", "target_size"),
+        ("--alpha", "2", "alpha"),
+    ])
+    def test_config_checked_before_generating(
+        self, flag, value, field, spec_file, capsys, monkeypatch
+    ):
+        self.refuse_to_generate(monkeypatch)
+        assert main(["simulate", "--spec", str(spec_file), flag, value]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
 
     def test_invalid_param_value_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

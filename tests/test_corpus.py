@@ -402,6 +402,16 @@ class TestGenerateSynthetic:
         hi = stats.binom.ppf(0.9995, 10000, 0.05)
         assert lo <= topic.total_relevant <= hi
 
+    @pytest.mark.parametrize("topic_id, expected", [
+        ("", "synthetic-exponential-77"),
+        ("D07", "D07"),
+    ])
+    def test_spec_names_its_topic_before_generating(self, topic_id, expected):
+        spec = SyntheticSpec(n=50, kind="exponential", params={"a": 0.5, "b": -0.01},
+                             seed=77, topic_id=topic_id)
+        assert spec.topic_id == expected
+        assert generate_synthetic(spec).topic_id == expected
+
     def test_zero_rate_yields_no_relevant(self):
         spec = SyntheticSpec(n=500, kind="uniform", params={"a": 0.0}, seed=9)
         assert generate_synthetic(spec).total_relevant == 0

@@ -608,10 +608,16 @@ class TestMemoryBound:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("estimate", [estimate_remaining_ip, estimate_remaining_cox])
-    def test_overflowing_mass_raises_without_warning(self, estimate):
+    @pytest.mark.parametrize("a, variances", [
+        (1e305, (1e300, 1e-40)),
+        # a numpy scale computed a * area in numpy's arithmetic, which warned
+        (np.float64(1e305), (1e300, 1e-40)),
+        (np.float64(1e305), (0.0, 0.0)),
+    ], ids=["float", "numpy", "numpy-exact"])
+    def test_overflowing_mass_raises_without_warning(self, estimate, a, variances):
         # a * area overflows to inf, at the mean and at the grid's points;
         # warnings are errors here, so an overflow warning fails the test
-        curve = make_curve(RateKind.EXPONENTIAL, (1e300, 1e-40), a=1e305, b=-1e-13)
+        curve = make_curve(RateKind.EXPONENTIAL, variances, a=a, b=-1e-13)
         with pytest.raises(DegenerateDistributionError, match="mass"):
             estimate(curve, 1, 10**7, 0.95)
 

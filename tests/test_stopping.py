@@ -520,6 +520,45 @@ class TestNrmseFloor:
         assert outcome.traces[1].gate is Gate.NRMSE_REJECTED
 
 
+class TestPrefixOnly:
+    """A run decides from the screened prefix and n alone: no trace up to
+    checkpoint k changes when the labels past k are drawn again."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(100, 600),
+        scale=st.floats(0.1, 1.0),
+        decay=st.floats(0.0, 0.03),
+        # a redrawn tail of all or no relevant documents moves the
+        # topic-wide extremes of the window counts
+        rest=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        window=st.sampled_from([5, 10]),
+        # at 0.1 the gate rejects most checkpoints; at 1 most are evaluated
+        threshold=st.sampled_from([0.1, 1.0]),
+        kind=st.sampled_from(list(RateKind)),
+        process=st.sampled_from(list(ProcessKind)),
+        schedule=st.sampled_from(list(BatchSchedule)),
+        data=st.data(),
+    )
+    def test_traces_read_no_label_past_their_checkpoint(
+        self, seed, n, scale, decay, rest, window, threshold, kind, process, schedule, data
+    ):
+        config = StoppingConfig(alpha=0.05, beta=0.05, window_size=window, rate_kind=kind,
+                                nrmse_threshold=threshold, process=process,
+                                batch_schedule=schedule)
+        k = data.draw(st.sampled_from(checkpoints(n, config)), label="k")
+        labels = _declining_labels(seed, n, scale, decay)
+        # the labels past k redrawn, each relevant with probability rest
+        redrawn = labels[:k] + (np.random.default_rng(seed + 1).random(n - k) < rest).tolist()
+
+        def traces_to_k(labels):
+            outcome = run_stopping(topic_from_labels(labels), config)
+            return [repr(t) for t in outcome.traces if t.k <= k]  # repr: nan equals nan
+
+        assert traces_to_k(redrawn) == traces_to_k(labels)
+
+
 class TestTraceRecord:
     def test_reading_a_trace_fits_nothing(self, monkeypatch):
         # the floor rejects five of this topic's checkpoints unfitted

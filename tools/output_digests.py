@@ -13,7 +13,8 @@ is) and runs the program of this checkout (``src/``) on every variant:
     0.9999999999999999, the largest float below 1, which the cdf of
     some count bounds rounds short of; compare with every
     method, and sweep over both processes and every rate, each as json
-    and as csv;
+    and as csv; on ``sweep_grid`` only, compare with every method on the
+    autotar schedule at alpha and beta 0.05, as json;
   spec variants (``simulate_cox``):
     simulate with ip and cox, once per rate family, and as csv.
 
@@ -42,7 +43,8 @@ and ``compare --methods ip`` runs with ``--target-size 0`` and with
 ``simulate`` runs on copies whose last spec has ``n`` as ``3000.0``,
 ``seed`` as ``true``, param ``a`` as a string, param ``a`` as a 401-digit
 integer, ``topic_id`` as ``7``, no ``params``, an unknown key ``nosie``,
-or a param ``bb`` that its kind does not read.
+a param ``bb`` that its kind does not read, or the first spec's
+``topic_id``.
 
 The commands run under the caller's ``PYTHONHASHSEED``, or 0 if it is
 unset. No output may depend on it, so two hash seeds must print the
@@ -85,6 +87,8 @@ def _commands(workload: str, variant: Path, outputs: Path) -> dict[str, list[str
     trace = ["stop", *inputs, "--trace", "--format", "json"]
     compare = ["compare", *inputs, "--methods", METHODS]
     sweep = ["sweep", *inputs, "--processes", "ip,cox"]
+    # every method, the knee too, on a schedule other than the default
+    autotar = ["--batch", "autotar", "--alpha", "0.05", "--beta", "0.05"]
     return {
         "stop-json": trace,
         "stop-csv": ["stop", *inputs, "--trace", "--format", "csv"],
@@ -93,6 +97,7 @@ def _commands(workload: str, variant: Path, outputs: Path) -> dict[str, list[str
         "stop-confidence-near-one": [*trace, "--confidence", "0.9999999999999999"],
         "compare": compare,
         "compare-csv": [*compare, "--format", "csv"],
+        **({"compare-autotar": [*compare, *autotar]} if workload == "sweep_grid" else {}),
         "sweep": sweep,
         "sweep-csv": [*sweep, "--format", "csv"],
         # the stdout of each subcommand, in one format each
@@ -173,6 +178,7 @@ def _faulty_specs(variant: Path, work: Path) -> dict[str, Path]:
         "params-missing": ("params", None),
         "key-unknown": ("nosie", 0.3),
         "param-unread": ("params", {"a": 0.5, "b": 0.5, "c": 0.01, "bb": 5}),
+        "topic-id-repeat": ("topic_id", payload["topics"][0]["topic_id"]),
     }
     copies = {}
     for label, (key, value) in faults.items():
